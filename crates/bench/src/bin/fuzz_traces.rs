@@ -18,7 +18,12 @@
 //!   bytes, lenient must deliver the identical record stream with nothing
 //!   quarantined;
 //! * **lenient always terminates** with an ingest report, never an error
-//!   (I/O aside), no matter how mangled the bytes are.
+//!   (I/O aside), no matter how mangled the bytes are;
+//! * **batched drain ≡ element-wise drain** — under each policy, a second
+//!   drain through a seeded interleaving of the reader's op-run fast path
+//!   (`leading_ops`/`take_ops`/`next_instr`, seeded by the image's CRC)
+//!   must deliver the same records and ingest report and end on the same
+//!   error variant at the same byte offset.
 //!
 //! A subsample of corrupted images additionally runs a tiny lenient
 //! simulation end to end, asserting the sweep completes (or fails as a
@@ -39,8 +44,10 @@ use bingo_bench::{
     run_trace_cell, trace_cell_key, CellOutcome, PrefetcherKind, RunScale, StatsExport,
 };
 use bingo_oracle::shrink_items;
-use bingo_sim::{Instr, TelemetryLevel, ThrottleMode};
-use bingo_trace::{apply, capture_source, plan_for_seed, CorruptionOp, Policy, TraceReader};
+use bingo_sim::{TelemetryLevel, ThrottleMode};
+use bingo_trace::corrupt::drain;
+use bingo_trace::crc32::crc32;
+use bingo_trace::{apply, capture_source, plan_for_seed, CorruptionOp, Policy};
 use bingo_workloads::{TraceWorkload, Workload};
 
 struct Args {
@@ -89,45 +96,46 @@ fn base_images() -> Vec<(Workload, Vec<u8>)> {
         .collect()
 }
 
-/// Drains a reader to completion. `Ok` carries the decoded stream; `Err`
-/// the first (typed) decode error.
-fn drain(bytes: &[u8], policy: Policy) -> Result<Vec<Instr>, bingo_trace::ReadError> {
-    let mut reader = TraceReader::new(Cursor::new(bytes), policy)?;
-    let mut out = Vec::new();
-    while let Some(instr) = reader.next_instr()? {
-        out.push(instr);
-    }
-    Ok(out)
-}
-
 /// How one corrupted image fared against the loader contract. `None`
 /// means every clause held.
 fn violation(image: &[u8], ops: &[CorruptionOp]) -> Option<String> {
     let corrupted = apply(image, ops);
-    let strict = match catch_unwind(AssertUnwindSafe(|| drain(&corrupted, Policy::Strict))) {
-        Ok(r) => r,
-        Err(_) => return Some("strict decoder PANICKED".to_string()),
-    };
-    let lenient = match catch_unwind(AssertUnwindSafe(|| drain(&corrupted, Policy::Lenient))) {
-        Ok(r) => r,
-        Err(_) => return Some("lenient decoder PANICKED".to_string()),
-    };
-    match (&strict, &lenient) {
-        (Ok(s), Ok(l)) => {
-            if s != l {
+    let interleave = u64::from(crc32(&corrupted));
+    let mut drained = Vec::new();
+    for (policy, name) in [(Policy::Strict, "strict"), (Policy::Lenient, "lenient")] {
+        let Ok(reference) = catch_unwind(AssertUnwindSafe(|| drain(&corrupted, policy, None)))
+        else {
+            return Some(format!("{name} decoder PANICKED"));
+        };
+        let Ok(batched) = catch_unwind(AssertUnwindSafe(|| {
+            drain(&corrupted, policy, Some(interleave))
+        })) else {
+            return Some(format!("{name} batched decoder PANICKED"));
+        };
+        if let Some(diff) = reference.divergence(&batched) {
+            return Some(format!(
+                "{name} batched drain diverged from element-wise: {diff}"
+            ));
+        }
+        drained.push(reference);
+    }
+    let (strict, lenient) = (&drained[0], &drained[1]);
+    match (&strict.error, &lenient.error) {
+        (None, None) => {
+            if strict.records != lenient.records {
                 return Some(format!(
                     "strict accepted {} records but lenient delivered {}",
-                    s.len(),
-                    l.len()
+                    strict.records.len(),
+                    lenient.records.len()
                 ));
             }
         }
-        (Err(e), _) => {
+        (Some(e), _) => {
             if !e.to_string().contains("byte") {
                 return Some(format!("strict error lost its byte offset: {e}"));
             }
         }
-        (_, Err(e)) => {
+        (_, Some(e)) => {
             return Some(format!(
                 "lenient policy must never error on corruption: {e}"
             ));
@@ -278,9 +286,9 @@ fn main() -> ExitCode {
             return report_violation(&args.out, seed, *workload, image, &ops, &why);
         }
         let corrupted = apply(image, &ops);
-        match drain(&corrupted, Policy::Strict) {
-            Ok(_) => strict_clean += 1,
-            Err(_) => strict_rejected += 1,
+        match drain(&corrupted, Policy::Strict, None).error {
+            None => strict_clean += 1,
+            Some(_) => strict_rejected += 1,
         }
         // Every 25th seed: full lenient simulation over the mangled bytes.
         if seed % 25 == 0 {

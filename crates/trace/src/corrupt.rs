@@ -8,10 +8,19 @@
 //! provokes a panic is shrunk to a minimal reproducer with
 //! `bingo_oracle`'s delta-debugging loop, which is why the plan is a
 //! plain `Vec` of small self-describing ops.
+//!
+//! [`drain`] decodes an image to its end, element-wise or through a
+//! seeded interleaving of the reader's op-run fast path, so a test can
+//! require both routes to observe exactly the same thing.
+
+use std::io::Cursor;
 
 use bingo_rng::{Rng, SeedableRng, SmallRng};
+use bingo_sim::{IngestReport, Instr};
 
+use crate::error::ReadError;
 use crate::format::{CHUNK_HEADER_BYTES, CHUNK_MAGIC, FILE_HEADER_BYTES};
+use crate::reader::{Policy, TraceReader};
 
 /// One byte-level mutation of a trace image.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -90,6 +99,99 @@ pub fn apply(image: &[u8], ops: &[CorruptionOp]) -> Vec<u8> {
     bytes
 }
 
+/// Everything one drain of an image observed.
+#[derive(Debug)]
+pub struct Drained {
+    /// Records delivered, in order.
+    pub records: Vec<Instr>,
+    /// The reader's ingest report at the end (default if the file
+    /// header was rejected).
+    pub report: IngestReport,
+    /// The error that ended the drain, if any.
+    pub error: Option<ReadError>,
+}
+
+impl Drained {
+    /// The first way `other` differs from `self` (records, report, or
+    /// error variant, offset and fields), or `None` if they match.
+    pub fn divergence(&self, other: &Drained) -> Option<String> {
+        if self.records != other.records {
+            let at = self
+                .records
+                .iter()
+                .zip(&other.records)
+                .position(|(a, b)| a != b)
+                .unwrap_or(self.records.len().min(other.records.len()));
+            return Some(format!(
+                "records differ at #{at} ({} vs {} delivered)",
+                self.records.len(),
+                other.records.len()
+            ));
+        }
+        if self.report != other.report {
+            return Some(format!(
+                "reports differ: {} vs {}",
+                self.report, other.report
+            ));
+        }
+        let (a, b) = (format!("{:?}", self.error), format!("{:?}", other.error));
+        (a != b).then(|| format!("errors differ: {a} vs {b}"))
+    }
+}
+
+/// Decodes `bytes` under `policy` until the end of the trace or the first
+/// error. With `interleave: None` every record comes from
+/// [`TraceReader::next_instr`]; with `Some(seed)` a seeded mix of
+/// [`TraceReader::leading_ops`], [`TraceReader::take_ops`] and
+/// `next_instr` drives the reader, which must observe the same stream.
+pub fn drain(bytes: &[u8], policy: Policy, interleave: Option<u64>) -> Drained {
+    let mut reader = match TraceReader::new(Cursor::new(bytes), policy) {
+        Ok(reader) => reader,
+        Err(error) => {
+            return Drained {
+                records: Vec::new(),
+                report: IngestReport::default(),
+                error: Some(error),
+            }
+        }
+    };
+    let mut rng = interleave.map(SmallRng::seed_from_u64);
+    let mut records = Vec::new();
+    let error = loop {
+        if let Some(rng) = rng.as_mut() {
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    let run = reader.leading_ops();
+                    assert_eq!(reader.leading_ops(), run, "a peek moved the stream");
+                    continue;
+                }
+                1 | 2 => {
+                    let max = rng.gen_range(0..64usize);
+                    let run = reader.leading_ops();
+                    let n = reader.take_ops(max);
+                    assert_eq!(n, run.min(max), "take_ops strayed from the peeked run");
+                    records.extend(std::iter::repeat_n(Instr::Op, n));
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        match reader.next_instr() {
+            Ok(Some(instr)) => records.push(instr),
+            Ok(None) => break None,
+            Err(error) => break Some(error),
+        }
+    };
+    if rng.is_some() {
+        assert_eq!(reader.take_ops(usize::MAX), 0, "ops taken past the end");
+    }
+    Drained {
+        records,
+        report: reader.report(),
+        error,
+    }
+}
+
 /// Byte spans `(start, end)` of each chunk in a well-formed image,
 /// walked structurally (header sizes, not magic scanning). Stops at the
 /// first span that doesn't parse, so partially corrupt images yield the
@@ -154,10 +256,6 @@ fn draw_op(rng: &mut SmallRng, image_len: u64) -> CorruptionOp {
 
 #[cfg(test)]
 mod tests {
-    use std::io::Cursor;
-
-    use bingo_sim::Instr;
-
     use super::*;
     use crate::writer::TraceWriter;
 

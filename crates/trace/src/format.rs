@@ -28,6 +28,15 @@
 //! stores: pc u64, addr u64
 //! ```
 //!
+//! An op record is exactly one [`KIND_OP`] byte (0x00) and nothing else.
+//! The op-run fast path relies on this: [`crate::TraceReader::take_ops`]
+//! delivers a run of ops as the leading zero bytes of a payload, and
+//! [`crate::TraceWriter::push_ops`] writes one as zero bytes. Runs are
+//! read only from a chunk whose header and CRC have already been
+//! validated, so the fast path never trusts an unchecked byte. Any future
+//! change to the record encoding must keep an op a single 0x00 byte, or
+//! bump [`VERSION`].
+//!
 //! Every multi-byte integer is little-endian. The chunk framing gives a
 //! reader three properties the flat format cannot: memory is bounded by
 //! one chunk regardless of trace length, corruption is detected by the

@@ -26,7 +26,7 @@ use crate::crc32::crc32;
 use crate::error::ReadError;
 use crate::format::{
     decode_record, RecordDecode, TraceHeader, CHUNK_HEADER_BYTES, CHUNK_MAGIC, FILE_HEADER_BYTES,
-    FILE_MAGIC, MAX_CHUNK_RECORDS, MAX_RECORD_BYTES, VERSION,
+    FILE_MAGIC, KIND_OP, MAX_CHUNK_RECORDS, MAX_RECORD_BYTES, VERSION,
 };
 
 /// What the reader does when it meets bytes it cannot trust.
@@ -75,6 +75,10 @@ pub struct TraceReader<R: Read> {
     chunk_records_left: u32,
     /// Payload bytes still unconsumed in the current validated chunk.
     chunk_payload_left: usize,
+    /// Length of the op run at the head of the current chunk, once
+    /// [`Self::leading_ops`] has scanned it (`None` = not yet scanned).
+    /// Kept exact as records are consumed, so the run is scanned once.
+    op_run: Option<u32>,
     report: IngestReport,
     /// High-water mark of `buf`'s capacity.
     peak_resident: usize,
@@ -100,6 +104,7 @@ impl<R: Read> TraceReader<R> {
             eof: false,
             chunk_records_left: 0,
             chunk_payload_left: 0,
+            op_run: None,
             report: IngestReport::default(),
             peak_resident: 0,
             done: false,
@@ -188,6 +193,48 @@ impl<R: Read> TraceReader<R> {
                 }
             }
         }
+    }
+
+    /// Number of consecutive [`Instr::Op`] records at the head of the
+    /// stream, without consuming them — counted only inside the chunk
+    /// [`Self::next_instr`] has already loaded and validated, so it is 0
+    /// at every chunk boundary (and after end-of-trace or a strict
+    /// error). An op is a single [`KIND_OP`] byte, so the run is the
+    /// leading zero bytes of the CRC-checked payload, capped at the
+    /// chunk's undelivered record count. The run is scanned once and
+    /// cached; repeated calls are O(1).
+    pub fn leading_ops(&mut self) -> usize {
+        if self.failed || self.chunk_records_left == 0 {
+            return 0;
+        }
+        if let Some(run) = self.op_run {
+            return run as usize;
+        }
+        let limit = self
+            .chunk_payload_left
+            .min(self.chunk_records_left as usize);
+        let run = leading_op_bytes(&self.buf[self.start..self.start + limit]) as u32;
+        self.op_run = Some(run);
+        run as usize
+    }
+
+    /// Consumes up to `max` leading op records in one step, returning
+    /// how many were taken: equivalent to that many [`Self::next_instr`]
+    /// calls each returning `Ok(Some(Instr::Op))`. Stops at a non-op
+    /// record and at the end of the loaded chunk, where it returns 0 and
+    /// leaves validation of the next chunk — and every error it may
+    /// raise — to `next_instr`.
+    pub fn take_ops(&mut self, max: usize) -> usize {
+        let run = self.leading_ops();
+        let n = run.min(max);
+        if n > 0 {
+            self.consume(n);
+            self.chunk_payload_left -= n;
+            self.chunk_records_left -= n as u32;
+            self.report.delivered_records += n as u64;
+            self.op_run = Some((run - n) as u32);
+        }
+        n
     }
 
     // ---- internals ------------------------------------------------------
@@ -303,6 +350,12 @@ impl<R: Read> TraceReader<R> {
                 self.chunk_payload_left -= n;
                 self.chunk_records_left -= 1;
                 self.report.delivered_records += 1;
+                // One op off a scanned run leaves the rest of it; any
+                // other record ends the run, and the next is unscanned.
+                self.op_run = match self.op_run {
+                    Some(run) if instr == Instr::Op => Some(run - 1),
+                    _ => None,
+                };
                 Ok(instr)
             }
             RecordDecode::BadKind(kind) => Err(ReadError::BadRecord {
@@ -478,6 +531,7 @@ impl<R: Read> TraceReader<R> {
             self.consume(CHUNK_HEADER_BYTES as usize);
             self.chunk_records_left = records;
             self.chunk_payload_left = payload_len as usize;
+            self.op_run = None;
             return Ok(true);
         }
     }
@@ -561,6 +615,25 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
+/// Number of leading [`KIND_OP`] bytes in `bytes`, eight at a time.
+fn leading_op_bytes(bytes: &[u8]) -> usize {
+    const _: () = assert!(KIND_OP == 0, "the word scan looks for zero bytes");
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0;
+    for w in &mut words {
+        let word = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        if word != 0 {
+            return n + (word.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + words
+        .remainder()
+        .iter()
+        .take_while(|&&b| b == KIND_OP)
+        .count()
+}
+
 #[cfg(test)]
 mod tests {
     use std::io::{Cursor, Seek, SeekFrom, Write};
@@ -568,6 +641,7 @@ mod tests {
     use bingo_sim::{Addr, Pc};
 
     use super::*;
+    use crate::corrupt::{drain, Drained};
     use crate::writer::TraceWriter;
 
     /// A varied, well-formed trace image: `records` records in chunks of
@@ -964,6 +1038,126 @@ mod tests {
             (r.peak_resident_bytes() as u64) <= r.resident_bound(),
             "resync must not grow residency past the bound"
         );
+    }
+
+    // ---- op-run fast path ------------------------------------------------
+
+    /// An op-heavy image shaped like real captures: runs of 0..40 ops
+    /// between memory accesses, seeded.
+    fn op_run_image(records: u64, chunk_records: u32, seed: u64) -> Vec<u8> {
+        use bingo_rng::{Rng, SeedableRng, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut file = Cursor::new(Vec::new());
+        let mut w = TraceWriter::new(&mut file, chunk_records).expect("header");
+        let mut n = 0;
+        while n < records {
+            let run = rng.gen_range(0..40u64).min(records - n);
+            w.push_ops(run).expect("push ops");
+            n += run;
+            if n < records {
+                let pc = Pc::new(0x400 + rng.gen_range(0..16u64));
+                let addr = Addr::new(rng.gen_range(0..1u64 << 30));
+                w.push(if rng.gen_bool(0.7) {
+                    Instr::Load {
+                        pc,
+                        addr,
+                        dep: None,
+                    }
+                } else {
+                    Instr::Store { pc, addr }
+                })
+                .expect("push");
+                n += 1;
+            }
+        }
+        w.finish().expect("finish");
+        file.into_inner()
+    }
+
+    /// Drains `bytes` element-wise and through several seeded batched
+    /// interleavings; every drain must observe the same records, report
+    /// and error.
+    fn assert_batched_matches(bytes: &[u8], policy: Policy, what: &str) -> Drained {
+        let reference = drain(bytes, policy, None);
+        for seed in 0..4 {
+            let batched = drain(bytes, policy, Some(seed));
+            if let Some(diff) = reference.divergence(&batched) {
+                panic!("{what} {policy:?} interleave {seed}: {diff}");
+            }
+        }
+        reference
+    }
+
+    #[test]
+    fn batched_drain_matches_elementwise_on_clean_images() {
+        for chunk in [1, 3, 7, 4096] {
+            let bytes = op_run_image(5_000, chunk, chunk as u64);
+            for policy in [Policy::Strict, Policy::Lenient] {
+                let drained = assert_batched_matches(&bytes, policy, &format!("chunk {chunk}"));
+                assert!(drained.error.is_none());
+                assert_eq!(drained.records.len(), 5_000);
+                assert!(drained.report.is_clean());
+            }
+        }
+    }
+
+    #[test]
+    fn batched_drain_matches_elementwise_on_corrupt_images() {
+        for chunk in [1, 3, 7, 4096] {
+            let clean = op_run_image(2_000, chunk, 100 + chunk as u64);
+            let payload_at = FILE_HEADER_BYTES as usize + CHUNK_HEADER_BYTES as usize;
+            let mut crc_flipped = clean.clone();
+            crc_flipped[payload_at + clean.len() / 3 % 64] ^= 0x10;
+            let mut late_flip = clean.clone();
+            let late = clean.len() * 2 / 3;
+            late_flip[late] ^= 0x01;
+            let truncated = clean[..clean.len() / 2].to_vec();
+            let mut trailing = clean.clone();
+            trailing.extend_from_slice(&[0u8; 9]);
+            for (what, bytes) in [
+                ("crc-flipped", &crc_flipped),
+                ("late-flip", &late_flip),
+                ("truncated", &truncated),
+                ("trailing", &trailing),
+            ] {
+                let what = format!("chunk {chunk} {what}");
+                let strict = assert_batched_matches(bytes, Policy::Strict, &what);
+                assert!(strict.error.is_some(), "{what}: strict must reject");
+                assert_batched_matches(bytes, Policy::Lenient, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_drain_matches_on_a_forged_trailing_op_payload() {
+        // A CRC-valid chunk declaring 2 records over 4 zero bytes: the
+        // op run must stop at the declared count, leaving the strict
+        // TrailingPayload error (and the lenient quarantine) intact.
+        let mut file = Cursor::new(Vec::new());
+        file.write_all(&FILE_MAGIC).unwrap();
+        file.write_all(&VERSION.to_le_bytes()).unwrap();
+        file.write_all(&4u32.to_le_bytes()).unwrap();
+        file.write_all(&2u64.to_le_bytes()).unwrap();
+        let payload = [0u8; 4];
+        file.write_all(&CHUNK_MAGIC).unwrap();
+        file.write_all(&2u32.to_le_bytes()).unwrap();
+        file.write_all(&(payload.len() as u32).to_le_bytes())
+            .unwrap();
+        file.write_all(&crate::crc32::crc32(&payload).to_le_bytes())
+            .unwrap();
+        file.write_all(&payload).unwrap();
+        let bytes = file.into_inner();
+        let strict = assert_batched_matches(&bytes, Policy::Strict, "forged");
+        assert_eq!(strict.records, vec![Instr::Op, Instr::Op]);
+        assert!(matches!(
+            strict.error,
+            Some(ReadError::TrailingPayload { bytes: 2, .. })
+        ));
+        assert_batched_matches(&bytes, Policy::Lenient, "forged");
+        let mut r = TraceReader::new(Cursor::new(&bytes), Policy::Strict).expect("open");
+        assert_eq!(r.leading_ops(), 0, "nothing is armed before the first read");
+        assert_eq!(r.next_instr().expect("first op"), Some(Instr::Op));
+        assert_eq!(r.leading_ops(), 1, "capped at the declared record count");
     }
 
     #[test]

@@ -107,6 +107,17 @@ impl InstrSource for ReplaySource {
         }
     }
 
+    /// Op runs come straight off the reader's validated chunk; at a
+    /// chunk boundary or the end of a pass this takes nothing and the
+    /// caller's `next_instr` loads the next chunk (or wraps around).
+    fn take_ops(&mut self, max: usize) -> usize {
+        self.reader.take_ops(max)
+    }
+
+    fn peek_ops(&mut self) -> usize {
+        self.reader.leading_ops()
+    }
+
     fn ingest_report(&self) -> Option<IngestReport> {
         let mut total = self.completed;
         total.absorb(&self.reader.report());
@@ -117,6 +128,10 @@ impl InstrSource for ReplaySource {
 /// Captures `records` instructions from `source` into `sink` as a framed
 /// trace with `chunk_records` records per chunk. Returns the total
 /// written (always `records`).
+///
+/// Op runs are drained with [`InstrSource::take_ops`] and written with
+/// [`TraceWriter::push_ops`]; the bytes are identical to pushing every
+/// instruction one at a time.
 pub fn capture_source<W: Write + Seek>(
     source: &mut dyn InstrSource,
     records: u64,
@@ -124,8 +139,16 @@ pub fn capture_source<W: Write + Seek>(
     sink: W,
 ) -> io::Result<u64> {
     let mut writer = TraceWriter::new(sink, chunk_records)?;
-    for _ in 0..records {
-        writer.push(source.next_instr())?;
+    let mut left = records;
+    while left > 0 {
+        let ops = source.take_ops(usize::try_from(left).unwrap_or(usize::MAX));
+        if ops > 0 {
+            writer.push_ops(ops as u64)?;
+            left -= ops as u64;
+        } else {
+            writer.push(source.next_instr())?;
+            left -= 1;
+        }
     }
     writer.finish()
 }

@@ -11,7 +11,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use bingo_sim::Instr;
 
 use crate::crc32::crc32;
-use crate::format::{encode_record, CHUNK_MAGIC, FILE_MAGIC, MAX_CHUNK_RECORDS, VERSION};
+use crate::format::{encode_record, CHUNK_MAGIC, FILE_MAGIC, KIND_OP, MAX_CHUNK_RECORDS, VERSION};
 
 /// Byte offset of `total_records` in the file header.
 const TOTAL_FIELD_OFFSET: u64 = 16;
@@ -61,6 +61,26 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.total += 1;
         if self.in_chunk == self.chunk_records {
             self.flush_chunk()?;
+        }
+        Ok(())
+    }
+
+    /// Appends `n` [`Instr::Op`] records — byte for byte what `n`
+    /// [`Self::push`]`(Instr::Op)` calls write — flushing each chunk as
+    /// it fills.
+    pub fn push_ops(&mut self, mut n: u64) -> io::Result<()> {
+        debug_assert!(!self.finished, "push after finish");
+        while n > 0 {
+            let room = (self.chunk_records - self.in_chunk) as u64;
+            let take = n.min(room);
+            self.payload
+                .resize(self.payload.len() + take as usize, KIND_OP);
+            self.in_chunk += take as u32;
+            self.total += take;
+            n -= take;
+            if self.in_chunk == self.chunk_records {
+                self.flush_chunk()?;
+            }
         }
         Ok(())
     }
@@ -148,6 +168,35 @@ mod tests {
         let report = r.report();
         assert_eq!(report.delivered_records, 23);
         assert!(report.is_clean());
+    }
+
+    #[test]
+    fn push_ops_writes_the_same_bytes_as_pushing_each_op() {
+        // Runs of every length from 0 to 20 between memory accesses, so
+        // runs start, end and straddle chunk boundaries at every offset.
+        let script: Vec<(u64, Instr)> = (0..40).map(|n| (n % 21, sample(n))).collect();
+        for chunk in [1, 3, 7, 4096] {
+            let mut one = Cursor::new(Vec::new());
+            let mut w = TraceWriter::new(&mut one, chunk).expect("header");
+            for &(ops, mem) in &script {
+                for _ in 0..ops {
+                    w.push(Instr::Op).expect("push");
+                }
+                w.push(mem).expect("push");
+            }
+            w.push(Instr::Op).expect("push");
+            let one_total = w.finish().expect("finish");
+
+            let mut runs = Cursor::new(Vec::new());
+            let mut w = TraceWriter::new(&mut runs, chunk).expect("header");
+            for &(ops, mem) in &script {
+                w.push_ops(ops).expect("push_ops");
+                w.push(mem).expect("push");
+            }
+            w.push_ops(1).expect("push_ops");
+            assert_eq!(w.finish().expect("finish"), one_total);
+            assert_eq!(runs.into_inner(), one.into_inner(), "chunk {chunk}");
+        }
     }
 
     #[test]

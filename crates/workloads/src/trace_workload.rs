@@ -10,11 +10,11 @@
 //! bounded-memory reader, so total residency is `cores × one chunk`.
 
 use std::fs;
-use std::io::{self, Seek, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use bingo_sim::InstrSource;
-use bingo_trace::{capture_source, Policy, ReadError, ReplaySource, TraceWriter};
+use bingo_trace::{capture_source, Policy, ReadError, ReplaySource};
 
 use crate::Workload;
 
@@ -151,44 +151,10 @@ pub fn capture_workload(
     Ok(())
 }
 
-/// Captures an arbitrary single source into one `.btrc` file — the
-/// generic building block `capture_workload` wraps per core.
-pub fn capture_to_file(
-    source: &mut dyn InstrSource,
-    records: u64,
-    chunk_records: u32,
-    path: &Path,
-) -> io::Result<u64> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!("create trace dir {}: {e}", parent.display()),
-            )
-        })?;
-    }
-    let file = fs::File::create(path)
-        .map_err(|e| io::Error::new(e.kind(), format!("create trace {}: {e}", path.display())))?;
-    let mut writer = TraceWriter::new(io::BufWriter::new(file), chunk_records)
-        .map_err(|e| io::Error::new(e.kind(), format!("write trace {}: {e}", path.display())))?;
-    for _ in 0..records {
-        writer.push(source.next_instr()).map_err(|e| {
-            io::Error::new(e.kind(), format!("write trace {}: {e}", path.display()))
-        })?;
-    }
-    writer
-        .finish()
-        .map_err(|e| io::Error::new(e.kind(), format!("finish trace {}: {e}", path.display())))
-}
-
-// `Seek + Write` bound sanity for BufWriter<File> used above.
-const _: fn() = || {
-    fn assert_rw<W: Write + Seek>() {}
-    assert_rw::<io::BufWriter<fs::File>>();
-};
-
 #[cfg(test)]
 mod tests {
+    use bingo_trace::TraceWriter;
+
     use super::*;
 
     fn scratch(name: &str) -> PathBuf {
@@ -218,6 +184,27 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batched_capture_writes_the_bytes_of_an_elementwise_capture() {
+        // Capture drains the generator's op runs in batches; the file
+        // must be byte-identical to pushing one instruction at a time,
+        // including with runs straddling 7-record chunk ends.
+        for chunk in [7, 4096] {
+            let dir = scratch(&format!("bytes-{chunk}"));
+            capture_workload(Workload::Em3d, 1, 3, 5_000, chunk, &dir).expect("capture");
+            let mut expected = io::Cursor::new(Vec::new());
+            let mut writer = TraceWriter::new(&mut expected, chunk).expect("header");
+            let mut live = Workload::Em3d.sources(1, 3);
+            for _ in 0..5_000 {
+                writer.push(live[0].next_instr()).expect("push");
+            }
+            writer.finish().expect("finish");
+            let captured = fs::read(core_path(&dir, 0)).expect("read capture");
+            assert_eq!(captured, expected.into_inner(), "chunk {chunk}");
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

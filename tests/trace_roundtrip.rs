@@ -28,15 +28,27 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Captures `workload`, replays it with `kind`, and returns
-/// (live result, replayed result) with the replay's ingest report
-/// detached after asserting it is clean — the only field a live run does
-/// not carry.
-fn round_trip(workload: Workload, kind: PrefetcherKind) -> (SimResult, SimResult) {
+/// Records per chunk of the captures, unless a test needs tiny chunks.
+const CHUNK: u32 = 1 << 12;
+
+/// Captures `workload` in `chunk_records`-record chunks, replays it with
+/// `kind`, and returns (live result, replayed result) with the replay's
+/// ingest report detached after asserting it is clean — the only field a
+/// live run does not carry.
+fn round_trip(
+    workload: Workload,
+    kind: PrefetcherKind,
+    chunk_records: u32,
+) -> (SimResult, SimResult) {
     let cores = SystemConfig::paper().cores;
     let records = SCALE.warmup_per_core + SCALE.instructions_per_core + SLACK;
-    let dir = scratch(workload.slug());
-    capture_workload(workload, cores, SCALE.seed, records, 1 << 12, &dir)
+    // Tests run on parallel threads of one process: each capture needs
+    // its own directory.
+    let dir = scratch(&format!(
+        "{}-{kind:?}-chunk{chunk_records}",
+        workload.slug()
+    ));
+    capture_workload(workload, cores, SCALE.seed, records, chunk_records, &dir)
         .unwrap_or_else(|e| panic!("capture of {workload} failed: {e}"));
     let trace = TraceWorkload::open(&dir).expect("open capture");
     let mut replayed = run_trace_one_configured(
@@ -68,7 +80,7 @@ fn round_trip(workload: Workload, kind: PrefetcherKind) -> (SimResult, SimResult
 #[test]
 fn every_synthetic_workload_round_trips_bit_for_bit() {
     for w in Workload::ALL {
-        let (live, replayed) = round_trip(w, PrefetcherKind::None);
+        let (live, replayed) = round_trip(w, PrefetcherKind::None, CHUNK);
         assert_eq!(
             live, replayed,
             "{w}: replay diverged from the live generators"
@@ -79,7 +91,7 @@ fn every_synthetic_workload_round_trips_bit_for_bit() {
 #[test]
 fn every_stress_workload_round_trips_bit_for_bit() {
     for w in Workload::STRESS {
-        let (live, replayed) = round_trip(w, PrefetcherKind::None);
+        let (live, replayed) = round_trip(w, PrefetcherKind::None, CHUNK);
         assert_eq!(
             live, replayed,
             "{w}: replay diverged from the live generators"
@@ -93,7 +105,24 @@ fn every_stress_workload_round_trips_bit_for_bit() {
 #[test]
 fn round_trip_holds_under_bingo() {
     for w in [Workload::Streaming, Workload::Em3d] {
-        let (live, replayed) = round_trip(w, PrefetcherKind::Bingo);
+        let (live, replayed) = round_trip(w, PrefetcherKind::Bingo, CHUNK);
         assert_eq!(live, replayed, "{w}: Bingo replay diverged");
+    }
+}
+
+/// Tiny chunks make nearly every op run straddle a chunk end, so the
+/// replay's batched op dispatch and op-crank fast-forward stop at chunk
+/// boundaries constantly — and the result must still be bit-for-bit the
+/// live one.
+#[test]
+fn op_runs_straddling_chunk_ends_round_trip_bit_for_bit() {
+    for w in [Workload::Em3d, Workload::Streaming] {
+        for kind in [PrefetcherKind::None, PrefetcherKind::Bingo] {
+            let (live, replayed) = round_trip(w, kind, 7);
+            assert_eq!(
+                live, replayed,
+                "{w} under {kind:?}: 7-record-chunk replay diverged"
+            );
+        }
     }
 }
