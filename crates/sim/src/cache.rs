@@ -273,6 +273,11 @@ impl Cache {
             .is_some_and(|e| e.prefetch && !e.demanded)
     }
 
+    /// Ready cycle of the earliest in-flight fill: when an MSHR next frees.
+    pub(crate) fn next_fill_ready(&self) -> Option<u64> {
+        self.pending.min_by(|e| e.ready)
+    }
+
     /// Number of in-flight fills (MSHR occupancy).
     pub fn mshr_occupancy(&self) -> usize {
         self.pending.len()

@@ -21,7 +21,7 @@
 //! Everything is deterministic in the plan's seed: the same
 //! (plan, workload, machine) triple replays bit-for-bit, which is what
 //! lets the chaos property tests assert exact bounds. Chaos runs disable
-//! the quiescent fast-forward (see [`System::with_chaos`]) so a
+//! per-core wake scheduling (see [`System::with_chaos`]) so a
 //! perturbation window can never be leapt over.
 //!
 //! [`System::with_chaos`]: crate::System::with_chaos

@@ -71,7 +71,7 @@ pub trait InstrSource {
     }
 
     /// Number of consecutive ops at the head of the stream, without
-    /// consuming them — the op-crank fast-forward's eligibility probe.
+    /// consuming them — the op crank's eligibility probe.
     /// May generate buffered instructions (hence `&mut`), but must not
     /// change the observable stream. The conservative default (0)
     /// disables cranking for sources that do not implement it.
@@ -121,7 +121,9 @@ pub struct OooCore {
 }
 
 impl OooCore {
-    /// Creates a core that will retire `target` instructions.
+    /// Creates a core that will retire `target` instructions. A target of
+    /// 0 is an empty measurement window: the core is finished as soon as
+    /// it is warm.
     pub fn new(id: CoreId, cfg: CoreConfig, target: u64) -> Self {
         OooCore {
             id,
@@ -139,7 +141,7 @@ impl OooCore {
             boundary: target,
             warmed: true,
             cycle_offset: 0,
-            done: false,
+            done: target == 0,
             stats: CoreStats::default(),
         }
     }
@@ -151,6 +153,7 @@ impl OooCore {
         self.warmup = warmup;
         self.warmed = warmup == 0;
         self.boundary = if self.warmed { self.target } else { warmup };
+        self.done = self.warmed && self.target == 0;
     }
 
     #[inline(always)]
@@ -201,6 +204,10 @@ impl OooCore {
                         ..CoreStats::default()
                     };
                     self.boundary = self.target;
+                    if self.target == 0 {
+                        self.done = true;
+                        return true;
+                    }
                 } else {
                     self.done = true;
                     return true;
@@ -298,7 +305,7 @@ impl OooCore {
     /// If the core is provably idle after cycle `now` — finished, blocked
     /// on a full ROB, or re-stalling on the same structural hazard every
     /// cycle — describes how long and what each idle cycle does, so the
-    /// system can fast-forward. `None` means the core may do new work next
+    /// run loop can let it sleep. `None` means the core may do new work next
     /// cycle and every cycle must be stepped.
     pub(crate) fn quiescent_plan(&self, now: u64) -> Option<CorePlan> {
         if self.done {
@@ -429,6 +436,7 @@ impl OooCore {
     pub(crate) fn op_crank_cycles(&self, ops_avail: usize) -> u64 {
         debug_assert!(self.stalled.is_none() && !self.done);
         let k_ops = (ops_avail / self.cfg.width) as u64;
+        // At least 1: an unfinished core is short of its boundary.
         let needed = self.boundary - self.stats.instructions;
         let k_boundary = (needed - 1) / self.cfg.retire_width as u64;
         k_ops.min(k_boundary)
@@ -750,5 +758,22 @@ mod tests {
         // count consistent with width-4 execution of ops.
         assert_eq!(core.stats.instructions, 1000);
         assert!(core.stats.cycles < 600, "cycles {}", core.stats.cycles);
+    }
+
+    #[test]
+    fn zero_target_finishes_at_the_warmup_boundary() {
+        let mut m = mem();
+        let mut src = || Instr::Op;
+        let mut cold = OooCore::new(CoreId(0), SystemConfig::tiny().core, 0);
+        assert!(cold.is_done(), "no warm-up: nothing to retire");
+        assert!(cold.step(0, &mut m, &mut src));
+        assert_eq!(cold.stats.instructions, 0);
+
+        let mut warm = OooCore::new(CoreId(0), SystemConfig::tiny().core, 0);
+        warm.set_warmup(500);
+        assert!(!warm.is_done());
+        run(&mut warm, &mut m, &mut src, 100_000);
+        assert!(warm.is_warmed());
+        assert_eq!(warm.stats.instructions, 0);
     }
 }

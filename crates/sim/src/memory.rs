@@ -47,8 +47,8 @@ enum FillLevel {
 }
 
 /// Which MSHR file a core's most recent [`IssueResult::Stall`] came from;
-/// consulted by the quiescent fast-forward to replay retry effects at the
-/// right cache level.
+/// consulted by the run loop to replay a sleeping core's retries at the
+/// right cache level and to decide what can wake it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum StallLevel {
     L1,
@@ -285,8 +285,13 @@ impl MemorySystem {
         // cannot desynchronize it.
     }
 
-    /// Processes all fills that are due at or before `now`. Must be called
-    /// once per cycle before cores issue new requests.
+    /// Lands all fills due at or before `now`, in ready order, each with
+    /// its effects (writebacks, ledger settlement) timed at its own ready
+    /// cycle. Must be called before cores issue requests at `now`. It need
+    /// not run every cycle: a fill landed late but before the next access
+    /// has exactly the effects of one landed on time, provided no stalled
+    /// retry it could unblock is replayed past it (the run loop's wake
+    /// rules, see [`crate::System`]).
     ///
     /// On most cycles nothing is due; that check inlines into the caller's
     /// loop as a single heap peek, with the landing logic kept out of line.
@@ -309,10 +314,10 @@ impl MemorySystem {
                 FillLevel::Llc => {
                     if let Some(evicted) = self.llc.complete_fill(block, false) {
                         if evicted.dirty {
-                            self.dram.write(evicted.block, now);
+                            self.dram.write(evicted.block, ready);
                         }
                         if evicted.unused_prefetch {
-                            self.ledger.evicted_unused(evicted.block.index(), now);
+                            self.ledger.evicted_unused(evicted.block.index(), ready);
                             if let Some(pt) = self.percore.as_mut() {
                                 pt.note_pf_evicted_unused(evicted.block.index());
                             }
@@ -322,7 +327,7 @@ impl MemorySystem {
                         }
                     }
                     // Settle the ledger record, if this fill was a prefetch.
-                    self.ledger.filled(block.index(), now);
+                    self.ledger.filled(block.index(), ready);
                     // Notify fill observers (e.g. SPP's filter learns fills).
                     for pf in &mut self.prefetchers {
                         pf.on_fill(block, false);
@@ -334,7 +339,7 @@ impl MemorySystem {
                             // Writeback to LLC: mark dirty if resident, else
                             // spill to DRAM bandwidth.
                             if !self.llc.mark_dirty(evicted.block) {
-                                self.dram.write(evicted.block, now);
+                                self.dram.write(evicted.block, ready);
                             }
                         }
                     }
@@ -347,6 +352,12 @@ impl MemorySystem {
     /// system's next externally visible event.
     pub(crate) fn next_fill_ready(&self) -> Option<u64> {
         self.fills.peek().map(|&Reverse((ready, _, _, _))| ready)
+    }
+
+    /// Ready cycle of `core`'s earliest in-flight L1 fill — when its L1
+    /// frees an MSHR, since only its own fills land in its L1.
+    pub(crate) fn next_l1_fill_ready(&self, core: usize) -> Option<u64> {
+        self.l1s[core].next_fill_ready()
     }
 
     /// Level of `core`'s most recent demand stall (see [`StallLevel`]).

@@ -1,15 +1,33 @@
 //! Top-level simulated system: cores + memory hierarchy + run loop.
 //!
 //! [`System`] owns the cores, their instruction sources, and the shared
-//! [`MemorySystem`]; [`System::run`] steps everything cycle by cycle until
-//! every core retires its instruction budget, then returns a [`SimResult`].
+//! [`MemorySystem`]; [`System::run`] simulates until every core retires its
+//! instruction budget, then returns a [`SimResult`].
+//!
+//! The run loop schedules each core on its own: after a step, a core that
+//! provably cannot change for a while — blocked behind a full ROB,
+//! retrying the same stalled access, or cranking through a run of ops —
+//! sleeps until the cycle it can, and the cycles it slept are replayed in
+//! closed form when it wakes. The loop jumps to the earliest wake and
+//! steps only the cores due then, in core order. Fills land lazily, each
+//! timed at its own ready cycle. Three rules keep this bit-for-bit equal
+//! to stepping every core every cycle (the lock-step reference,
+//! [`System::with_fast_forward`]`(false)`):
+//!
+//! 1. a core stalled on an MSHR wakes no later than the next fill that can
+//!    free one: its own next L1 fill for an L1 MSHR, any next fill for an
+//!    LLC MSHR;
+//! 2. a core stalled on an LLC MSHR also runs whenever another core runs,
+//!    because its retries reserve the shared LLC banks;
+//! 3. every sleeping core is settled through the current cycle before the
+//!    end-of-warmup statistics reset.
 
 use std::time::{Duration, Instant};
 
 use crate::addr::CoreId;
 use crate::chaos::ChaosInjector;
 use crate::config::SystemConfig;
-use crate::core_model::{InstrSource, OooCore};
+use crate::core_model::{InstrSource, OooCore, RetrySpec};
 use crate::memory::{MemorySystem, StallLevel};
 use crate::prefetch::Prefetcher;
 use crate::stats::SimResult;
@@ -24,9 +42,11 @@ use crate::throttle::ThrottleMode;
 pub enum SimAbort {
     /// The wall-clock budget set by [`System::with_time_limit`] ran out.
     ///
-    /// The deadline is *soft*: it is polled once per cycle batch (every
-    /// 8192 cycles), so a run may overshoot the limit by one batch of
-    /// simulation work before aborting.
+    /// The deadline is *soft*: it is polled once every 8192 run-loop
+    /// iterations, so a run may overshoot the limit by up to 8192
+    /// iterations of simulation work before aborting. One iteration
+    /// steps each due core once and replays the cycles its sleeping
+    /// cores skipped, so it can span many simulated cycles.
     DeadlineExceeded {
         /// The configured wall-clock limit.
         limit: Duration,
@@ -65,6 +85,8 @@ pub struct System {
     deadline: Option<Duration>,
     fast_forward: bool,
     chaos: Option<ChaosInjector>,
+    /// Per-core place in the run loop (see [`Schedule`]).
+    sched: Vec<Schedule>,
 }
 
 impl System {
@@ -118,6 +140,7 @@ impl System {
             .enumerate()
             .map(|(i, &target)| OooCore::new(CoreId(i), cfg.core, target))
             .collect();
+        let sched = vec![Schedule::awake(0); cfg.cores];
         System {
             cores,
             sources,
@@ -128,16 +151,20 @@ impl System {
             deadline: None,
             fast_forward: true,
             chaos: None,
+            sched,
         }
     }
 
-    /// Enables or disables the quiescent fast-forward (on by default).
+    /// Enables or disables per-core wake scheduling (on by default).
     ///
-    /// Fast-forwarding is a pure run-loop optimization: cycles on which
-    /// every core is provably idle are jumped over with their effects
-    /// replayed in closed form, so results are bit-for-bit identical either
-    /// way (asserted by the `fast_forward_is_bit_for_bit` tests). The
-    /// toggle exists for those equivalence tests and for debugging.
+    /// Scheduling is a pure run-loop optimization: a core sleeps through
+    /// cycles on which it provably cannot change, their effects replayed
+    /// in closed form when it wakes, and the loop steps only the cores
+    /// due (see the module docs). Disabled, every unfinished core is due
+    /// every cycle — the lock-step reference. Results are bit-for-bit
+    /// identical either way (asserted by the `fast_forward_is_bit_for_bit`
+    /// tests and `tests/scheduler_equivalence.rs`). The toggle exists for
+    /// those equivalence tests and for debugging.
     pub fn with_fast_forward(mut self, enabled: bool) -> Self {
         self.fast_forward = enabled;
         self
@@ -146,10 +173,11 @@ impl System {
     /// Sets a soft wall-clock deadline for [`System::try_run`].
     ///
     /// The clock starts when `try_run` is entered. The deadline is polled
-    /// at batch granularity (every 8192 cycles) to keep `Instant::now`
-    /// calls off the per-cycle hot path, so the run can overshoot `limit`
-    /// by one batch of work before aborting with
-    /// [`SimAbort::DeadlineExceeded`].
+    /// every 8192 run-loop iterations to keep `Instant::now` calls off the
+    /// hot path, so the run can overshoot `limit` by up to 8192 iterations
+    /// of work before aborting with [`SimAbort::DeadlineExceeded`]. An
+    /// iteration steps each due core once and replays whatever its
+    /// sleeping cores skipped, so it can span many simulated cycles.
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.deadline = Some(limit);
         self
@@ -194,11 +222,11 @@ impl System {
     /// Attaches a seeded [`ChaosInjector`] that perturbs the run live (see
     /// the [`chaos`](crate::chaos) module for the taxonomy).
     ///
-    /// Chaos runs step every cycle — the quiescent fast-forward is
-    /// disabled, because a jumped-over window would make the perturbation
-    /// schedule depend on the optimizer instead of the plan. Deliberately
-    /// *not* bit-for-bit comparable to a chaos-free run; determinism in
-    /// the seed is what the chaos suite asserts.
+    /// Chaos runs step every core every cycle — wake scheduling is
+    /// disabled, because a slept-through window would make the
+    /// perturbation schedule depend on the optimizer instead of the plan.
+    /// Deliberately *not* bit-for-bit comparable to a chaos-free run;
+    /// determinism in the seed is what the chaos suite asserts.
     pub fn with_chaos(mut self, injector: ChaosInjector) -> Self {
         self.chaos = Some(injector);
         self.fast_forward = false;
@@ -263,16 +291,16 @@ impl System {
     pub fn try_run(mut self) -> Result<SimResult, SimAbort> {
         const CYCLE_LIMIT: u64 = 10_000_000_000;
         // Poll the wall clock only once per batch of loop iterations:
-        // `Instant::now` is far too expensive to call on every simulated
-        // cycle. Iterations rather than cycles, because the fast-forward
-        // makes cycle numbers jump.
+        // `Instant::now` is far too expensive to call on every one.
+        // Iterations rather than cycles, because one iteration jumps over
+        // every cycle on which no core is due.
         const DEADLINE_POLL_MASK: u64 = 8192 - 1;
         let started = self.deadline.map(|_| Instant::now());
         let mut iterations = 0u64;
         loop {
-            // Poll on entry (iteration 0) as well: the fast-forward can
-            // finish a small run in fewer iterations than one poll batch,
-            // and an already-expired deadline must still abort it.
+            // Poll on entry (iteration 0) as well: a small run can finish
+            // in fewer iterations than one poll batch, and an already
+            // expired deadline must still abort it.
             if iterations & DEADLINE_POLL_MASK == 0 {
                 if let (Some(limit), Some(start)) = (self.deadline, started) {
                     if start.elapsed() >= limit {
@@ -281,39 +309,47 @@ impl System {
                 }
             }
             iterations += 1;
-            self.mem.tick(self.now);
+            let now = self.now;
+            self.wake_due(now);
+            self.mem.tick(now);
             let bubbled = match self.chaos.as_mut() {
-                Some(injector) => injector.on_cycle(self.now, &mut self.mem, self.cores.len()),
+                Some(injector) => injector.on_cycle(now, &mut self.mem, self.cores.len()),
                 None => None,
             };
             let mut all_done = true;
             for i in 0..self.cores.len() {
-                if !self.cores[i].is_done() {
-                    if bubbled == Some(i) {
-                        // Stall-bubble chaos: the core is frozen this cycle
-                        // but still counts as unfinished, so the run waits
-                        // out the (bounded) window.
-                        all_done = false;
-                        continue;
-                    }
-                    let done =
-                        self.cores[i].step(self.now, &mut self.mem, self.sources[i].as_mut());
-                    all_done &= done;
+                if self.cores[i].is_done() {
+                    continue;
                 }
+                if self.sched[i].wake > now {
+                    all_done = false;
+                    continue;
+                }
+                if bubbled == Some(i) {
+                    // Stall-bubble chaos: the core is frozen this cycle
+                    // but still counts as unfinished, so the run waits
+                    // out the (bounded) window.
+                    all_done = false;
+                    self.sched[i] = Schedule::awake(now + 1);
+                    continue;
+                }
+                all_done &= self.cores[i].step(now, &mut self.mem, self.sources[i].as_mut());
+                self.sched[i] = self.plan(i);
             }
             if !self.mem_stats_reset && self.cores.iter().all(|c| c.is_warmed()) {
+                // Sleeping cores' retries through this cycle precede the
+                // reset, as they would stepping cycle by cycle.
+                for i in 0..self.cores.len() {
+                    self.settle(i, now + 1);
+                }
                 self.mem.reset_stats();
                 self.mem_stats_reset = true;
-                self.measure_start = self.now;
+                self.measure_start = now;
             }
             if all_done {
                 break;
             }
-            self.now = if self.fast_forward {
-                self.advance_quiescent()
-            } else {
-                self.now + 1
-            };
+            self.now = self.next_cycle();
             if self.now >= CYCLE_LIMIT {
                 return Err(SimAbort::CycleLimit { limit: CYCLE_LIMIT });
             }
@@ -344,85 +380,179 @@ impl System {
     }
 }
 
+/// What a sleeping core does on each cycle it sleeps through; replayed in
+/// closed form when it wakes.
+#[derive(Copy, Clone, Debug)]
+enum Sleep {
+    /// Nothing: the core is finished, blocked behind a full ROB whose head
+    /// is still in flight, or due next cycle anyway.
+    Idle,
+    /// Retires what is ready and retries the same stalled access, which
+    /// fails again. `level` is the MSHR file the retry stalls on, `None`
+    /// when it dies at the core's own LSQ-occupancy check.
+    Retry {
+        spec: RetrySpec,
+        level: Option<StallLevel>,
+    },
+    /// Retires and dispatches from the run of ops heading its stream.
+    Crank,
+}
+
+impl Sleep {
+    /// Whether the slept retries stall on an LLC MSHR.
+    fn waits_on_llc(self) -> bool {
+        matches!(
+            self,
+            Sleep::Retry {
+                level: Some(StallLevel::Llc),
+                ..
+            }
+        )
+    }
+}
+
+/// One core's place in the run loop: it has been simulated up to (not
+/// including) cycle `from` and steps next at cycle `wake`.
+#[derive(Copy, Clone, Debug)]
+struct Schedule {
+    sleep: Sleep,
+    from: u64,
+    wake: u64,
+}
+
+impl Schedule {
+    fn awake(cycle: u64) -> Self {
+        Schedule {
+            sleep: Sleep::Idle,
+            from: cycle,
+            wake: cycle,
+        }
+    }
+}
+
 impl System {
-    /// Computes the next cycle to simulate after `self.now`, jumping over
-    /// cycles on which the machine is provably quiescent.
-    ///
-    /// The machine is quiescent when every core is finished, blocked on a
-    /// full ROB, or re-stalling on the same structural hazard — then
-    /// nothing can change before the earliest of: the next fill landing,
-    /// the next in-order retirement, or the next LSQ slot freeing. The
-    /// skipped cycles are not free, though: a stalled core retries its
-    /// access every cycle, with observable side effects (access counters,
-    /// recency stamps, bank-port reservations, dependency-wait
-    /// accounting). Those retries deterministically fail inside the
-    /// window, so their effects are replayed in closed form — keeping
-    /// results bit-for-bit identical to stepping every cycle.
-    fn advance_quiescent(&mut self) -> u64 {
+    /// How core `i` spends the cycles after `self.now`, right after its
+    /// step. A core sleeps until the earliest cycle its state can change:
+    /// finished (never), blocked behind a full ROB (its head's
+    /// completion), re-stalling on the same structural hazard (the
+    /// warmup/target boundary or, on the LSQ, the oldest store's
+    /// completion), or cranking through a run of ops (as many cycles as
+    /// the run and the boundary allow). Otherwise it is due next cycle —
+    /// always so without fast-forward, the lock-step reference.
+    fn plan(&mut self, i: usize) -> Schedule {
         let next = self.now + 1;
-        let mut wake = self.mem.next_fill_ready().unwrap_or(u64::MAX);
-        let mut llc_stalls = 0usize;
-        for i in 0..self.cores.len() {
-            match self.usable_plan(i, next) {
-                Some(plan) => {
-                    wake = wake.min(plan.wake);
-                    if let Some(retry) = &plan.retry {
-                        if retry.mem && self.mem.stall_level(i) == StallLevel::Llc {
-                            llc_stalls += 1;
-                        }
-                    }
+        if !self.fast_forward {
+            return Schedule::awake(next);
+        }
+        // A ROB-full core whose head retires immediately is no window to
+        // skip: it is exactly the throughput-bound regime the op crank
+        // handles.
+        let quiescent = self.cores[i]
+            .quiescent_plan(self.now)
+            .filter(|p| p.retry.is_some() || p.wake > next);
+        let (sleep, wake) = match quiescent {
+            Some(plan) => match plan.retry {
+                None => (Sleep::Idle, plan.wake),
+                Some(spec) => {
+                    let level = spec.mem.then(|| self.mem.stall_level(i));
+                    // Only the core's own fills land in its L1, so the
+                    // earliest of them is when an L1 MSHR frees.
+                    let wake = match level {
+                        Some(StallLevel::L1) => self
+                            .mem
+                            .next_l1_fill_ready(i)
+                            .map_or(plan.wake, |ready| plan.wake.min(ready)),
+                        _ => plan.wake,
+                    };
+                    (Sleep::Retry { spec, level }, wake)
                 }
-                None => {
-                    // An active core can still be skipped over — "op
-                    // cranked" — while its stream head is a run of ops:
-                    // those cycles touch nothing but its own ROB.
-                    let ops = self.sources[i].peek_ops();
-                    let k = self.cores[i].op_crank_cycles(ops);
-                    if k == 0 {
-                        return next; // real work next cycle: step it
-                    }
-                    wake = wake.min(next + k);
-                }
+            },
+            None => {
+                let k = self.cores[i].op_crank_cycles(self.sources[i].peek_ops());
+                let sleep = if k == 0 { Sleep::Idle } else { Sleep::Crank };
+                (sleep, next + k)
             }
+        };
+        Schedule {
+            sleep,
+            from: next,
+            wake,
         }
-        // Several cores stalled on LLC MSHRs interleave at the shared LLC
-        // banks every cycle; replaying that interleaving in closed form is
-        // not worth the complexity, so step those (rare) windows normally.
-        if llc_stalls > 1 || wake <= next || wake == u64::MAX {
-            return next;
-        }
-        let skipped = wake - next;
-        for i in 0..self.cores.len() {
-            match self.usable_plan(i, next) {
-                Some(plan) => {
-                    if let Some(retry) = plan.retry {
-                        self.cores[i].apply_retirements(next, wake);
-                        self.cores[i].apply_stall_cycles(next, skipped);
-                        if retry.mem {
-                            let first = next.max(retry.dep_ready);
-                            self.mem
-                                .apply_stalled_retries(i, retry.block, first, skipped);
-                        }
-                    }
-                }
-                None => {
-                    let consumed = self.cores[i].apply_op_crank(next, wake);
-                    let taken = self.sources[i].take_ops(consumed);
-                    debug_assert_eq!(taken, consumed, "op run shorter than peeked");
-                }
-            }
-        }
-        wake
     }
 
-    /// The core's quiescent plan, if it describes a real skippable window.
-    /// A ROB-full core whose head retires immediately (`wake <= next`,
-    /// no retry to replay) is treated as active instead — it is exactly
-    /// the throughput-bound regime the op crank handles.
-    fn usable_plan(&self, i: usize, next: u64) -> Option<crate::core_model::CorePlan> {
-        self.cores[i]
-            .quiescent_plan(self.now)
-            .filter(|p| p.retry.is_some() || p.wake > next)
+    /// Wakes the cores due at cycle `now` and settles them through
+    /// `now - 1`, before the fills due at `now` land. Besides its planned
+    /// wake, a core stalled on an LLC MSHR runs whenever any core does —
+    /// its retries reserve the shared LLC banks another core's access may
+    /// contend for — and so at every fill, which [`System::next_cycle`]
+    /// never jumps over while it sleeps.
+    ///
+    /// Several LLC waiters sleeping through the same cycles need no more:
+    /// each retried on the cycle before, so its bank's free cycle already
+    /// lies past every later retry of theirs (retry cycles grow by at most
+    /// one per cycle, reservations by one per retry), and the
+    /// reservations add up the same in any order.
+    fn wake_due(&mut self, now: u64) {
+        for i in 0..self.cores.len() {
+            let s = self.sched[i];
+            if s.wake <= now || s.sleep.waits_on_llc() {
+                self.settle(i, now);
+                self.sched[i].wake = now;
+            }
+        }
+    }
+
+    /// Replays core `i`'s slept cycles `[from, until)` in closed form.
+    /// Every closed form splits at any cycle boundary, so a core woken
+    /// early, or settled for the warmup reset, replays exactly what
+    /// stepping those cycles would have done.
+    fn settle(&mut self, i: usize, until: u64) {
+        let Schedule { sleep, from, .. } = self.sched[i];
+        if until <= from {
+            return;
+        }
+        let skipped = until - from;
+        match sleep {
+            Sleep::Idle => {}
+            Sleep::Retry { spec, level } => {
+                self.cores[i].apply_retirements(from, until);
+                self.cores[i].apply_stall_cycles(from, skipped);
+                if level.is_some() {
+                    let first = from.max(spec.dep_ready);
+                    self.mem
+                        .apply_stalled_retries(i, spec.block, first, skipped);
+                }
+            }
+            Sleep::Crank => {
+                let consumed = self.cores[i].apply_op_crank(from, until);
+                let taken = self.sources[i].take_ops(consumed);
+                debug_assert_eq!(taken, consumed, "op run shorter than peeked");
+            }
+        }
+        self.sched[i].from = until;
+    }
+
+    /// The next cycle any core is due: the earliest planned wake, and no
+    /// later than the next fill while a core sleeps on an LLC MSHR.
+    /// `u64::MAX` (a livelock, caught by the cycle limit) only if no
+    /// unfinished core could ever change.
+    fn next_cycle(&self) -> u64 {
+        let mut wake = u64::MAX;
+        let mut llc_waiters = false;
+        for (core, s) in self.cores.iter().zip(&self.sched) {
+            if core.is_done() {
+                continue;
+            }
+            wake = wake.min(s.wake);
+            llc_waiters |= s.sleep.waits_on_llc();
+        }
+        if llc_waiters {
+            if let Some(ready) = self.mem.next_fill_ready() {
+                wake = wake.min(ready);
+            }
+        }
+        debug_assert!(wake > self.now, "a core woke in the past");
+        wake
     }
 }
 

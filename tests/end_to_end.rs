@@ -181,3 +181,31 @@ fn fast_forward_is_bit_for_bit_on_real_workloads() {
         assert_eq!(fast, slow, "fast-forward diverged on {w}");
     }
 }
+
+/// A retirement target of 0 is an empty measurement window: that core
+/// finishes at its warm-up boundary (at once without warm-up) having
+/// retired nothing measured, while the others run their full budgets —
+/// scheduled and lock-step alike. The op crank once underflowed here.
+#[test]
+fn zero_instruction_target_is_an_empty_measurement_window() {
+    for warmup in [0, 5_000] {
+        let cfg = SystemConfig::paper();
+        let build = |ff: bool| {
+            System::new_heterogeneous(
+                cfg,
+                Workload::Em3d.sources(cfg.cores, 42),
+                (0..cfg.cores)
+                    .map(|_| Box::new(NoPrefetcher) as Box<dyn Prefetcher>)
+                    .collect(),
+                &[20_000, 0, 20_000, 20_000],
+            )
+            .with_warmup(warmup)
+            .with_fast_forward(ff)
+        };
+        let fast = build(true).run();
+        let slow = build(false).run();
+        assert_eq!(fast, slow, "warm-up {warmup}: scheduling diverged");
+        let retired: Vec<u64> = fast.cores.iter().map(|c| c.instructions).collect();
+        assert_eq!(retired, [20_000, 0, 20_000, 20_000], "warm-up {warmup}");
+    }
+}

@@ -1,0 +1,217 @@
+//! Per-core wake scheduling is unobservable: every cell here runs twice,
+//! once with the run loop's scheduling on (cores sleep until they can
+//! change, their slept cycles replayed in closed form) and once in
+//! lock-step (`with_fast_forward(false)`: every core steps every cycle),
+//! and the two `SimResult`s must be equal field for field.
+//!
+//! The matrix covers every synthetic and stress workload under no
+//! prefetcher, Bingo and a baseline, at each memory-pressure preset and
+//! throttle mode, plus the committed contention mixes at their unequal
+//! per-core targets, a `.btrc` replay, and a machine whose shrunk LLC MSHR
+//! file makes cores stall on LLC MSHRs — the one regime where a stalled
+//! core's retries contend with other cores at the shared LLC banks.
+
+use std::path::PathBuf;
+
+use bingo_bench::{MixConfig, PrefetcherKind, Pressure};
+use bingo_sim::{InstrSource, SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_workloads::{capture_workload, TraceWorkload, Workload};
+
+const SEED: u64 = 42;
+const WARMUP: u64 = 2_000;
+/// Per-core budget; cores get unequal shares of it so they finish apart.
+const BUDGET: u64 = 4_000;
+/// Per-core share of [`BUDGET`] in percent, cycled over the cores.
+const SHARES: [u64; 4] = [100, 55, 80, 30];
+
+const KINDS: [PrefetcherKind; 3] = [
+    PrefetcherKind::None,
+    PrefetcherKind::Bingo,
+    PrefetcherKind::Bop,
+];
+
+fn targets(cores: usize) -> Vec<u64> {
+    (0..cores)
+        .map(|c| BUDGET * SHARES[c % SHARES.len()] / 100)
+        .collect()
+}
+
+/// One cell's machine and streams, buildable twice.
+struct Cell {
+    cfg: SystemConfig,
+    sources: Box<dyn Fn() -> Vec<Box<dyn InstrSource>>>,
+    kinds: Vec<PrefetcherKind>,
+    targets: Vec<u64>,
+    throttle: ThrottleMode,
+}
+
+impl Cell {
+    fn live(cfg: SystemConfig, workloads: Vec<Workload>, kinds: Vec<PrefetcherKind>) -> Self {
+        let targets = targets(cfg.cores);
+        Cell {
+            cfg,
+            sources: Box::new(move || {
+                workloads
+                    .iter()
+                    .enumerate()
+                    .map(|(core, w)| w.source_for_core(core, SEED))
+                    .collect()
+            }),
+            kinds,
+            targets,
+            throttle: ThrottleMode::Off,
+        }
+    }
+
+    fn run(&self, fast_forward: bool) -> SimResult {
+        System::new_heterogeneous(
+            self.cfg,
+            (self.sources)(),
+            self.kinds.iter().map(|k| k.build()).collect(),
+            &self.targets,
+        )
+        .with_warmup(WARMUP)
+        .with_telemetry(TelemetryLevel::Counts)
+        .with_throttle(self.throttle)
+        .with_fast_forward(fast_forward)
+        .run()
+    }
+
+    /// Asserts scheduled == lock-step and returns the scheduled result.
+    fn assert_equivalent(&self, label: &str) -> SimResult {
+        let scheduled = self.run(true);
+        let lockstep = self.run(false);
+        assert_eq!(scheduled, lockstep, "scheduling diverged on {label}");
+        scheduled
+    }
+}
+
+/// Every workload × prefetcher × pressure preset under one throttle mode.
+fn workload_matrix(throttle: ThrottleMode) {
+    for pressure in Pressure::LADDER {
+        let mut cfg = SystemConfig::paper();
+        pressure.apply(&mut cfg);
+        for w in Workload::ALL.into_iter().chain(Workload::STRESS) {
+            for kind in KINDS {
+                let mut cell = Cell::live(cfg, vec![w; cfg.cores], vec![kind; cfg.cores]);
+                cell.throttle = throttle;
+                cell.assert_equivalent(&format!(
+                    "{w}/{}/{}/throttle={throttle}",
+                    kind.name(),
+                    pressure.name
+                ));
+            }
+        }
+    }
+}
+
+#[test]
+fn scheduling_is_bit_for_bit_unthrottled() {
+    workload_matrix(ThrottleMode::Off);
+}
+
+#[test]
+fn scheduling_is_bit_for_bit_under_feedback_throttling() {
+    workload_matrix(ThrottleMode::Feedback);
+}
+
+#[test]
+fn scheduling_is_bit_for_bit_under_percore_throttling() {
+    workload_matrix(ThrottleMode::Percore);
+}
+
+/// The committed contention mixes at their declared core counts and
+/// per-slot budgets, under every pressure preset, unthrottled and per-core
+/// throttled.
+#[test]
+fn scheduling_is_bit_for_bit_on_contention_mixes() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("configs/mixes/contention.mix");
+    let mixes = MixConfig::parse_file(&path).expect("committed mixes parse");
+    assert!(!mixes.is_empty());
+    for mix in &mixes {
+        let cores = mix.core_count();
+        let slots: Vec<_> = (0..cores).map(|c| mix.assignment(c)).collect();
+        for pressure in Pressure::LADDER {
+            let mut cfg = SystemConfig::paper().with_cores(cores);
+            pressure.apply(&mut cfg);
+            for throttle in [ThrottleMode::Off, ThrottleMode::Percore] {
+                let mut cell = Cell::live(
+                    cfg,
+                    slots.iter().map(|s| s.workload).collect(),
+                    slots.iter().map(|s| s.prefetcher).collect(),
+                );
+                cell.targets = slots.iter().map(|s| s.instructions(BUDGET)).collect();
+                cell.throttle = throttle;
+                cell.assert_equivalent(&format!(
+                    "mix {}/{}/throttle={throttle}",
+                    mix.name, pressure.name
+                ));
+            }
+        }
+    }
+}
+
+/// A `.btrc` capture replayed through the trace reader, whose op runs
+/// feed the op crank.
+#[test]
+fn scheduling_is_bit_for_bit_on_trace_replay() {
+    let dir = std::env::temp_dir()
+        .join("bingo-scheduler-equivalence")
+        .join(format!("em3d-{}", std::process::id()));
+    let cores = SystemConfig::paper().cores;
+    let records = WARMUP + BUDGET + 256;
+    capture_workload(Workload::Em3d, cores, SEED, records, 1 << 12, &dir).expect("capture em3d");
+    let trace = TraceWorkload::open(&dir).expect("open capture");
+    let mut cell = Cell::live(
+        SystemConfig::paper(),
+        vec![Workload::Em3d; cores],
+        vec![PrefetcherKind::Bingo; cores],
+    );
+    cell.sources = Box::new(move || trace.sources(cores).expect("replay sources"));
+    let result = cell.assert_equivalent("em3d replay");
+    assert_eq!(
+        result
+            .ingest
+            .expect("replay reports ingestion")
+            .quarantined_records,
+        0
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shrunk LLC MSHR file on four cores with unequal targets and a
+/// warm-up, on the paper's four LLC banks and on a single one: cores stall
+/// on LLC MSHRs while others hit in the LLC, so a waiter's retries delay
+/// other cores' lookups at the shared banks. No pressure preset ever fills
+/// the paper's 256-entry LLC MSHR file, so without this cell the
+/// LLC-waiter wake rule would go untested.
+#[test]
+fn scheduling_is_bit_for_bit_with_llc_mshr_stalls() {
+    use Workload::*;
+    let mixes = [
+        [StressThrash, StressChase, StressFlip, DataServing],
+        [StressChase, SatSolver, Em3d, Mix3],
+        [StressFlip, Em3d, Mix5, DataServing],
+        [Mix2, Mix3, Mix4, Mix5],
+        [Zeus, Mix4, StressFlip, Em3d],
+    ];
+    for banks in [SystemConfig::paper().llc.banks, 1] {
+        let mut cfg = SystemConfig::paper();
+        cfg.llc.mshrs = 12;
+        cfg.llc_mshrs_reserved_for_demand = 4;
+        cfg.llc.banks = banks;
+        for workloads in mixes {
+            let cell = Cell::live(
+                cfg,
+                workloads.to_vec(),
+                vec![PrefetcherKind::Bop; cfg.cores],
+            );
+            let label = format!("{workloads:?}/BOP/{banks} LLC bank(s)");
+            let result = cell.assert_equivalent(&label);
+            assert!(
+                result.llc.demand_mshr_stalls > 0,
+                "{label}: the shrunk LLC MSHR file never stalled a demand"
+            );
+        }
+    }
+}
