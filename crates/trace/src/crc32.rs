@@ -46,8 +46,16 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 of `bytes` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Continues a CRC-32 over more bytes: `crc32_update(crc32(a), b)` is
+/// `crc32` of `a` followed by `b`, so a file can be checksummed in
+/// pieces without holding it in memory.
+#[inline]
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = crc ^ 0xFFFF_FFFF;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -111,6 +119,15 @@ mod tests {
             bytes[i / 8] ^= 1 << (i % 8);
             assert_ne!(crc32(&bytes), base, "bit {i} flip went undetected");
             bytes[i / 8] ^= 1 << (i % 8);
+        }
+    }
+
+    #[test]
+    fn update_continues_across_splits() {
+        let buf = noise(100, 0xC0DE);
+        for split in 0..=buf.len() {
+            let (a, b) = buf.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), crc32(&buf), "split {split}");
         }
     }
 

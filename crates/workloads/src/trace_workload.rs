@@ -10,10 +10,12 @@
 //! bounded-memory reader, so total residency is `cores × one chunk`.
 
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 use bingo_sim::InstrSource;
+use bingo_trace::crc32::crc32_update;
 use bingo_trace::{capture_source, Policy, ReadError, ReplaySource};
 
 use crate::Workload;
@@ -24,6 +26,9 @@ pub struct TraceWorkload {
     dir: PathBuf,
     name: String,
     policy: Policy,
+    /// The content fingerprint of [`TraceWorkload::key`], computed on
+    /// first use and shared by every clone of this handle.
+    fingerprint: Arc<OnceLock<String>>,
 }
 
 impl TraceWorkload {
@@ -54,7 +59,12 @@ impl TraceWorkload {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| dir.display().to_string());
-        Ok(TraceWorkload { dir, name, policy })
+        Ok(TraceWorkload {
+            dir,
+            name,
+            policy,
+            fingerprint: Arc::default(),
+        })
     }
 
     /// The capture directory.
@@ -73,13 +83,42 @@ impl TraceWorkload {
     }
 
     /// Stable identifier for checkpoint cell keys: the capture
-    /// directory path plus the policy when non-default, so strict and
-    /// lenient replays of the same file never share a checkpoint line.
+    /// directory path, the policy when non-default (so strict and lenient
+    /// replays of the same file never share a checkpoint line), and a
+    /// content fingerprint — the length and CRC-32 of every core file —
+    /// so a capture replaced in place never resumes from the old
+    /// capture's results. The fingerprint reads every core file once per
+    /// handle (clones share it), on the first call.
     pub fn key(&self) -> String {
+        let path = self.dir.display();
+        let fingerprint = self.fingerprint.get_or_init(|| self.fingerprint());
         match self.policy {
-            Policy::Strict => self.dir.display().to_string(),
-            Policy::Lenient => format!("{}?policy=lenient", self.dir.display()),
+            Policy::Strict => format!("{path}#{fingerprint}"),
+            Policy::Lenient => format!("{path}?policy=lenient#{fingerprint}"),
         }
+    }
+
+    /// `len:crc` of each captured core file, comma-separated; a file
+    /// that cannot be read contributes `unreadable` (its replay fails
+    /// anyway).
+    fn fingerprint(&self) -> String {
+        let file = |path: PathBuf| -> io::Result<String> {
+            let mut f = fs::File::open(path)?;
+            let mut buf = vec![0u8; 1 << 16];
+            let (mut len, mut crc) = (0u64, 0u32);
+            loop {
+                let n = f.read(&mut buf)?;
+                if n == 0 {
+                    return Ok(format!("{len}:{crc:08x}"));
+                }
+                len += n as u64;
+                crc = crc32_update(crc, &buf[..n]);
+            }
+        };
+        (0..self.captured_cores())
+            .map(|core| file(self.core_path(core)).unwrap_or_else(|_| "unreadable".into()))
+            .collect::<Vec<_>>()
+            .join(",")
     }
 
     /// Path of core `core`'s trace file.
@@ -235,6 +274,26 @@ mod tests {
         let strict = TraceWorkload::open(&dir).expect("open");
         let lenient = TraceWorkload::with_policy(&dir, Policy::Lenient).expect("open");
         assert_ne!(strict.key(), lenient.key());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn keys_follow_the_bytes_not_only_the_path() {
+        let dir = scratch("fingerprint");
+        capture_workload(Workload::Zeus, 1, 1, 50, 16, &dir).expect("capture");
+        let before = TraceWorkload::open(&dir).expect("open");
+        let key = before.key();
+        let bytes = fs::read(core_path(&dir, 0)).expect("read");
+        assert!(key.ends_with(&format!(
+            "#{}:{:08x}",
+            bytes.len(),
+            bingo_trace::crc32::crc32(&bytes)
+        )));
+        // The fingerprint is fixed per handle, fresh per reopen.
+        capture_workload(Workload::Em3d, 1, 2, 50, 16, &dir).expect("recapture");
+        assert_eq!(before.clone().key(), key);
+        let after = TraceWorkload::open(&dir).expect("reopen");
+        assert_ne!(after.key(), key, "a replaced capture must change the key");
         fs::remove_dir_all(&dir).ok();
     }
 }

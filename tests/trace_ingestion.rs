@@ -14,7 +14,8 @@ use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 use bingo_repro::bench::{
-    run_trace_cell, run_trace_one_configured, CellOutcome, PrefetcherKind, RunScale,
+    run_trace_cell, run_trace_one_configured, CellOutcome, Checkpoint, ParallelHarness,
+    PrefetcherKind, RunScale,
 };
 use bingo_repro::sim::{Instr, TelemetryLevel, ThrottleMode};
 use bingo_repro::trace::{Policy, TraceReader};
@@ -182,5 +183,39 @@ fn corrupt_corpus_trace_fails_strict_cell_but_completes_lenient_sim() {
         }
         other => panic!("lenient replay must complete, got {other:?}"),
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Replacing a capture in place must not let a resumed sweep replay the
+/// old capture's checkpointed result: the trace's checkpoint key covers
+/// the bytes of its core files, not only their path.
+#[test]
+fn replaced_capture_is_re_simulated_not_replayed_from_the_checkpoint() {
+    let dir = as_capture_dir(PRISTINE[0], "replaced");
+    let checkpoint = dir.join("sweep.jsonl");
+    let scale = RunScale {
+        instructions_per_core: 1_000,
+        warmup_per_core: 300,
+        seed: 0,
+    };
+    let quarantined = || {
+        let trace = TraceWorkload::with_policy(&dir, Policy::Lenient).expect("open capture");
+        let mut harness = ParallelHarness::with_jobs(scale, 1)
+            .quiet()
+            .with_checkpoint(Checkpoint::open(&checkpoint).expect("open checkpoint"));
+        let evals = harness.evaluate_trace_grid(&[trace], &[PrefetcherKind::NextLine(1)]);
+        evals[0]
+            .result
+            .ingest
+            .as_ref()
+            .expect("replay attaches a report")
+            .quarantined_records
+    };
+    assert_eq!(quarantined(), 0, "the pristine capture is clean");
+    std::fs::copy(corpus_dir().join(CORRUPT), dir.join("core0.btrc")).expect("replace capture");
+    assert!(
+        quarantined() > 0,
+        "the replaced capture must be re-simulated, not replayed from the old result"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
