@@ -12,11 +12,17 @@ use std::hint::black_box;
 
 use bingo::EventKind;
 use bingo_bench::{
-    run_mix_configured, run_one, time_median, BenchWriter, MixAssignment, MixConfig,
-    PrefetcherKind, Pressure, RunScale,
+    time_median, BenchWriter, CellSpec, Cores, MixAssignment, MixConfig, PrefetcherKind, RunScale,
 };
-use bingo_sim::{SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_sim::{SimResult, SystemConfig};
 use bingo_workloads::Workload;
+
+/// Runs one classic (workload, prefetcher) cell on the paper machine.
+fn run_one(workload: Workload, kind: PrefetcherKind, scale: RunScale) -> SimResult {
+    CellSpec::new(Cores::Uniform(workload, kind), scale)
+        .run()
+        .expect("bench cell completes")
+}
 
 fn tiny_scale() -> RunScale {
     RunScale {
@@ -145,16 +151,9 @@ fn bench_fig8_2core(writer: &mut Option<BenchWriter>) {
             };
             let s = time_median(3, || {
                 black_box(
-                    run_mix_configured(
-                        &mix,
-                        cores,
-                        &Pressure::NONE,
-                        scale,
-                        None,
-                        TelemetryLevel::Off,
-                        ThrottleMode::Off,
-                    )
-                    .expect("bench mix cell completes"),
+                    CellSpec::new(Cores::Mix(mix.clone(), cores), scale)
+                        .run()
+                        .expect("bench mix cell completes"),
                 );
             });
             let key = format!("fig8_2core/{}/{}", w.name(), k.name());

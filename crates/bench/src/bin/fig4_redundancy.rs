@@ -38,11 +38,7 @@ fn main() {
         };
         let both_frac = if lookups > 0.0 { both / lookups } else { 0.0 };
         all.push(redundancy);
-        t.row(vec![
-            e.workload.name().to_string(),
-            pct(redundancy),
-            pct(both_frac),
-        ]);
+        t.row(vec![e.workload.clone(), pct(redundancy), pct(both_frac)]);
     }
     t.row(vec!["Average".to_string(), pct(mean(&all)), String::new()]);
     t.write_csv_if_requested("fig4_redundancy");

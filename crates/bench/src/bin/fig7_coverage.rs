@@ -26,7 +26,7 @@ fn main() {
     for (idx, e) in evals.iter().enumerate() {
         let i = idx % PrefetcherKind::HEADLINE.len();
         t.row(vec![
-            e.workload.name().to_string(),
+            e.workload.clone(),
             e.kind.name(),
             pct(e.coverage.coverage),
             pct(e.coverage.overprediction),

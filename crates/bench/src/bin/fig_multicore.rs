@@ -34,10 +34,10 @@
 use std::path::PathBuf;
 
 use bingo_bench::{
-    f2, CapacityCell, CapacitySearch, MixCell, MixConfig, ParallelHarness, Pressure, RunScale,
-    Table,
+    f2, CapacityCell, CapacitySearch, CellSpec, Cores, MixCell, MixConfig, ParallelHarness,
+    Pressure, RunScale, Table,
 };
-use bingo_sim::{SimResult, TelemetryLevel, ThrottleMode};
+use bingo_sim::{SimResult, ThrottleMode};
 
 /// The mix the starvation experiment runs, when selected.
 const STARVATION_MIX: &str = "polite-vs-storm";
@@ -217,16 +217,13 @@ fn main() {
 fn starvation_experiment(mix: &MixConfig, scale: RunScale) -> String {
     let pressure = Pressure::CONSTRAINED;
     let run = |throttle: ThrottleMode| -> SimResult {
-        bingo_bench::run_mix_configured(
-            mix,
-            2,
-            &pressure,
-            scale,
-            None,
-            TelemetryLevel::Off,
+        let spec = CellSpec {
+            pressure,
             throttle,
-        )
-        .unwrap_or_else(|e| panic!("starvation cell aborted: {e}"))
+            ..CellSpec::new(Cores::Mix(mix.clone(), 2), scale)
+        };
+        spec.run()
+            .unwrap_or_else(|e| panic!("starvation cell aborted: {e}"))
     };
     let off = run(ThrottleMode::Off);
     let feedback = run(ThrottleMode::Feedback);

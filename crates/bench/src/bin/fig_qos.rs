@@ -28,8 +28,8 @@
 
 use std::path::PathBuf;
 
-use bingo_bench::{f2, run_mix_qos, MixConfig, Pressure, RunScale, Table};
-use bingo_sim::{ChaosInjector, ChaosPlan, SimResult, ThrottleMode};
+use bingo_bench::{f2, CellSpec, Cores, MixConfig, Pressure, RunScale, Table};
+use bingo_sim::{ChaosPlan, SimResult, ThrottleMode};
 
 /// The mix every arm runs: one streaming core behind Bingo, one
 /// stress-storm core whose prefetches are mostly waste.
@@ -73,8 +73,15 @@ fn main() {
     let qos_slo = bingo_bench::qos_slo_from_env();
     let chaos_seed = bingo_bench::chaos_seed_from_env();
 
-    let run = |throttle: ThrottleMode, chaos: Option<ChaosInjector>| -> SimResult {
-        run_mix_qos(mix, 2, &pressure, scale, None, throttle, qos_slo, chaos)
+    let run = |throttle: ThrottleMode, chaos: Option<ChaosPlan>| -> SimResult {
+        let spec = CellSpec {
+            pressure,
+            throttle,
+            qos_slo,
+            chaos,
+            ..CellSpec::new(Cores::Mix(mix.clone(), 2), scale)
+        };
+        spec.run()
             .unwrap_or_else(|e| panic!("qos cell aborted: {e}"))
     };
 
@@ -149,14 +156,8 @@ fn main() {
     // throttle versus throttle-off under identical chaos. Part of the
     // committed figure, so it runs unless `BINGO_CHAOS=off` skips it.
     let chaos_cell = if bingo_bench::chaos_from_env() {
-        let chaos_off = run(
-            ThrottleMode::Off,
-            Some(ChaosInjector::new(ChaosPlan::standard(chaos_seed))),
-        );
-        let chaos_percore = run(
-            ThrottleMode::Percore,
-            Some(ChaosInjector::new(ChaosPlan::standard(chaos_seed))),
-        );
+        let chaos_off = run(ThrottleMode::Off, Some(ChaosPlan::standard(chaos_seed)));
+        let chaos_percore = run(ThrottleMode::Percore, Some(ChaosPlan::standard(chaos_seed)));
         let chaos_polite_ratio = chaos_percore.core_ipcs()[0] / chaos_off.core_ipcs()[0];
         println!("\nChaos cell (standard schedule, seed {chaos_seed:#x}):");
         let mut t = Table::new(vec!["Throttle", "Polite IPC", "Storm IPC", "Agg IPC"]);

@@ -101,7 +101,7 @@ fn main() {
     for (idx, e) in evals.iter().enumerate() {
         let r = report(e);
         t.row(vec![
-            e.workload.name().to_string(),
+            e.workload.clone(),
             e.kind.name(),
             pct(e.coverage.coverage),
             pct(r.accuracy()),
@@ -141,7 +141,7 @@ fn main() {
     for e in evals.iter().filter(|e| e.kind == PrefetcherKind::Bingo) {
         for (label, c) in &report(e).by_source {
             s.row(vec![
-                e.workload.name().to_string(),
+                e.workload.clone(),
                 label.clone(),
                 c.issued.to_string(),
                 pct(c.accuracy()),

@@ -122,7 +122,7 @@ fn main() {
             .expect("trace replays attach an ingest report");
         quarantined_total += ingest.quarantined_records;
         t.row(vec![
-            e.trace.clone(),
+            e.workload.clone(),
             e.kind.name(),
             pct(e.coverage.coverage),
             pct(e.coverage.overprediction),

@@ -40,11 +40,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bingo_bench::{
-    run_trace_cell, trace_cell_key, CellOutcome, PrefetcherKind, RunScale, StatsExport,
-};
+use bingo_bench::{CellOutcome, CellSpec, Cores, PrefetcherKind, RunScale, StatsExport};
 use bingo_oracle::shrink_items;
-use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_trace::corrupt::drain;
 use bingo_trace::crc32::crc32;
 use bingo_trace::{apply, capture_source, plan_for_seed, CorruptionOp, Policy};
@@ -219,14 +216,8 @@ fn check_lenient_sim(out: &Path, seed: u64, corrupted: &[u8]) -> Result<(), Stri
         warmup_per_core: 500,
         seed,
     };
-    let outcome = run_trace_cell(
-        &trace,
-        PrefetcherKind::NextLine(1),
-        scale,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    );
+    let spec = CellSpec::new(Cores::Trace(trace, PrefetcherKind::NextLine(1)), scale);
+    let outcome = spec.run_isolated(false);
     let result = match outcome {
         CellOutcome::Ok(result) => result,
         // A capture with zero decodable records has nothing to replay;
@@ -250,13 +241,7 @@ fn check_lenient_sim(out: &Path, seed: u64, corrupted: &[u8]) -> Result<(), Stri
     let stats_path = dir.join("stats.jsonl");
     let stats = StatsExport::create(&stats_path)
         .map_err(|e| format!("creating {}: {e}", stats_path.display()))?;
-    let key = trace_cell_key(
-        scale,
-        &trace.key(),
-        PrefetcherKind::NextLine(1),
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    );
+    let key = spec.key().expect("trace cells have a key");
     stats
         .record(&key, &result)
         .map_err(|e| format!("writing {}: {e}", stats_path.display()))?;

@@ -25,10 +25,10 @@
 //! `BINGO_STATS` exports each cell's full `SimResult` as JSON lines.
 
 use bingo_bench::{
-    default_jobs, f2, parallel_map, pf_queue_from_env, PrefetcherKind, Pressure, RunScale,
-    StatsExport, Table,
+    default_jobs, f2, parallel_map, pf_queue_from_env, CellSpec, Cores, MixAssignment, MixConfig,
+    PrefetcherKind, Pressure, RunScale, StatsExport, Table,
 };
-use bingo_sim::{SimResult, System, SystemConfig, ThrottleMode};
+use bingo_sim::{SimResult, ThrottleMode};
 use bingo_workloads::Workload;
 
 /// Half the paper's bandwidth, then roughly a quarter (the shared
@@ -55,19 +55,28 @@ fn run_cell(
     throttle: ThrottleMode,
     scale: RunScale,
 ) -> SimResult {
-    let mut cfg = SystemConfig::paper();
     // Two cores keep the sweep fast; with a single channel at reduced
     // bandwidth they contend plenty.
-    cfg.cores = 2;
-    pressure.apply(&mut cfg);
-    if let Some(depth) = pf_queue_from_env() {
-        cfg.prefetch_queue_depth = Some(depth);
-    }
-    let sources = workload.sources(cfg.cores, scale.seed);
-    System::with_prefetchers(cfg, sources, |_| kind.build(), scale.instructions_per_core)
-        .with_warmup(scale.warmup_per_core)
-        .with_throttle(throttle)
-        .run()
+    let mix = MixConfig {
+        name: "stress".to_string(),
+        cores: vec![MixAssignment {
+            workload,
+            prefetcher: kind,
+            scale_percent: 100,
+        }],
+        ramp: None,
+    };
+    let pressure = Pressure {
+        queue: pf_queue_from_env().or(pressure.queue),
+        ..*pressure
+    };
+    let spec = CellSpec {
+        pressure,
+        throttle,
+        ..CellSpec::new(Cores::Mix(mix, 2), scale)
+    };
+    spec.run()
+        .unwrap_or_else(|e| panic!("stress cell aborted: {e}"))
 }
 
 fn main() {

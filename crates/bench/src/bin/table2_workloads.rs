@@ -1,16 +1,16 @@
 //! Table II — application parameters: baseline LLC MPKI of every workload
 //! (no prefetcher), compared against the paper's reported values.
 
-use bingo_bench::{ParallelHarness, RunScale, Table};
+use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale, Table};
 use bingo_workloads::Workload;
 
 fn main() {
     let scale = RunScale::from_args();
     let mut harness = ParallelHarness::new(scale);
-    harness.prime_baselines(&Workload::ALL);
+    let baselines = harness.evaluate_all(&Workload::ALL, &[PrefetcherKind::None]);
     let mut t = Table::new(vec!["Application", "Description", "MPKI", "Paper MPKI"]);
-    for w in Workload::ALL {
-        let base = harness.baseline(w);
+    for (w, e) in Workload::ALL.into_iter().zip(&baselines) {
+        let base = &e.baseline;
         t.row(vec![
             w.name().to_string(),
             w.description().to_string(),

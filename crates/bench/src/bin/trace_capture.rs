@@ -21,10 +21,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bingo_bench::{
-    run_one, run_trace_one_configured, trace_chunk_from_env, PrefetcherKind, RunScale,
-};
-use bingo_sim::{SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_bench::{trace_chunk_from_env, CellSpec, Cores, PrefetcherKind, RunScale};
+use bingo_sim::SystemConfig;
 use bingo_trace::DEFAULT_CHUNK_RECORDS;
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
@@ -115,20 +113,16 @@ fn main() -> ExitCode {
         }
         let trace = TraceWorkload::open(&dir)
             .unwrap_or_else(|e| panic!("reopening capture {}: {e}", dir.display()));
-        let mut replayed = run_trace_one_configured(
-            &trace,
-            PrefetcherKind::None,
-            scale,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .unwrap_or_else(|abort| panic!("replay of {} aborted: {abort}", dir.display()));
+        let mut replayed = CellSpec::new(Cores::Trace(trace, PrefetcherKind::None), scale)
+            .run()
+            .unwrap_or_else(|abort| panic!("replay of {} aborted: {abort}", dir.display()));
         let ingest = replayed
             .ingest
             .take()
             .expect("replay attaches an ingest report");
-        let live = run_one(w, PrefetcherKind::None, scale);
+        let live = CellSpec::new(Cores::Uniform(w, PrefetcherKind::None), scale)
+            .run()
+            .unwrap_or_else(|abort| panic!("live run of {} aborted: {abort}", w.name()));
         if !ingest.is_clean() {
             eprintln!(
                 "VERIFY FAIL {}: fresh capture reported quarantine: {ingest}",

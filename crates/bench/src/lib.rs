@@ -52,14 +52,9 @@ pub use perf_record::{
     BENCH_JSON_ENV, BENCH_MERGE_ENV, BENCH_THRESHOLD_ENV, CALIBRATION_KEY,
 };
 pub use runner::{
-    cell_key, cell_key_with_options, cell_key_with_telemetry, default_jobs, geometric_mean, mean,
-    mix_cell_key, mix_solo_key, parallel_map, run_cell, run_cell_configured, run_mix_configured,
-    run_mix_qos, run_mix_solo_configured, run_one, run_one_configured, run_one_with_deadline,
-    run_trace_cell, run_trace_one_configured, telemetry_from_env, throttle_from_env,
-    trace_cell_key, CellFailure, CellOutcome, Evaluation, GridReport, Harness, MixCell,
-    MixCellFailure, MixEvaluation, MixGridReport, ParallelHarness, PrefetcherKind, RunScale,
-    TraceCellFailure, TraceEvaluation, TraceGridReport, CELL_TIMEOUT_ENV, TELEMETRY_ENV,
-    THROTTLE_ENV,
+    default_jobs, geometric_mean, mean, parallel_map, telemetry_from_env, throttle_from_env,
+    CellFailure, CellOutcome, CellSpec, Cores, Evaluation, GridReport, MixCell, MixEvaluation,
+    ParallelHarness, PrefetcherKind, RunScale, CELL_TIMEOUT_ENV, TELEMETRY_ENV, THROTTLE_ENV,
 };
 pub use stats_export::{StatsExport, STATS_ENV};
 pub use table::{f2, pct, Table};

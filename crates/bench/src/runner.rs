@@ -1,28 +1,35 @@
-//! Experiment runner: builds (workload × prefetcher) simulations, caches
-//! no-prefetcher baselines, and derives the paper's metrics.
+//! Experiment runner: one declarative cell type and one engine that
+//! resolves grids of them.
 //!
-//! Two harnesses are provided:
+//! Every figure of the paper is a grid of simulations, each read against
+//! reference runs: the no-prefetcher baseline of the same workload or
+//! trace, or, for a multi-core mix, the solo run of every core slot.
 //!
-//! * [`Harness`] — the original serial runner, evaluating one cell at a
-//!   time with a lazily-filled baseline cache;
-//! * [`ParallelHarness`] — fans the (workload × prefetcher) grid out
-//!   across a bounded pool of scoped worker threads. The grid is
-//!   embarrassingly parallel (every cell is an independent simulation),
-//!   so the full sweep's wall-clock shrinks to roughly
-//!   `cells / min(jobs, cells)` serial cells.
+//! * [`CellSpec`] describes one simulation completely: what each core
+//!   runs ([`Cores`]: a synthetic workload, a captured trace, a declared
+//!   mix, or one mix slot alone), the scale, the memory pressure, the
+//!   telemetry level, the throttle mode, the QoS SLO, the chaos plan and
+//!   the soft deadline. It has one [`CellSpec::run`], one panic-isolated
+//!   [`CellSpec::run_isolated`], and one checkpoint/stats
+//!   [`CellSpec::key`].
+//! * [`ParallelHarness`] resolves every list of specs the same way: the
+//!   in-memory cache, then the checkpoint, then a bounded pool of scoped
+//!   worker threads, then recording to the checkpoint and the stats
+//!   export. Its three grids (classic, trace, mix) differ only in the
+//!   reference specs they derive and in what they compute from the
+//!   results: coverage and speedup, or fairness.
 //!
-//! **Determinism.** A cell's result is a pure function of
-//! `(RunScale::seed, workload, prefetcher kind)`: each cell constructs
-//! its own instruction sources (seeded from `scale.seed`, with a per-core
-//! stream split inside [`Workload::sources`]) and its own prefetcher, and
-//! shares no mutable state with other cells. The prefetcher kind
-//! deliberately does *not* perturb the workload's RNG stream — every
-//! prefetcher must observe the exact access stream its no-prefetcher
-//! baseline observed, or coverage and speedup would compare different
-//! program runs. Consequently [`ParallelHarness`] produces bit-for-bit
-//! the same [`SimResult`]s as [`Harness`] regardless of scheduling order,
+//! **Determinism.** A cell's result is a pure function of its spec: each
+//! run builds its own instruction sources (seeded from `scale.seed`, one
+//! stream per core slot via [`Workload::source_for_core`]) and its own
+//! prefetchers, and shares no mutable state with other cells. The
+//! prefetcher kind deliberately does *not* perturb the workload's RNG
+//! stream — every prefetcher must observe the exact access stream its
+//! no-prefetcher baseline observed, or coverage and speedup would compare
+//! different program runs. Consequently [`ParallelHarness`] produces
+//! bit-for-bit the same [`SimResult`]s regardless of scheduling order,
 //! worker count, or completion order — verified by the
-//! `parallel_matches_serial_bit_for_bit` test below.
+//! `results_do_not_depend_on_the_worker_count` test below.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,8 +43,9 @@ use bingo_baselines::{
     StridePrefetcher, Vldp, VldpConfig,
 };
 use bingo_sim::{
-    ChaosInjector, CoverageReport, FaultPlan, FaultyPrefetcher, NextLinePrefetcher, NoPrefetcher,
-    Prefetcher, SimAbort, SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode,
+    ChaosInjector, ChaosPlan, CoverageReport, FaultPlan, FaultyPrefetcher, NextLinePrefetcher,
+    NoPrefetcher, Prefetcher, SimAbort, SimResult, System, SystemConfig, TelemetryLevel,
+    ThrottleMode,
 };
 use bingo_workloads::{TraceWorkload, Workload};
 
@@ -262,7 +270,8 @@ impl RunScale {
         }
     }
 
-    /// A reduced scale for CI and Criterion.
+    /// A reduced scale for CI, the `--quick` flag and the
+    /// `figure_benches` bench.
     pub fn quick() -> Self {
         RunScale {
             instructions_per_core: 150_000,
@@ -352,314 +361,6 @@ pub fn throttle_from_env() -> ThrottleMode {
     .unwrap_or(ThrottleMode::Off)
 }
 
-/// Runs one (workload, prefetcher) simulation on the paper's 4-core
-/// system, reporting deadline or cycle-limit aborts as values instead of
-/// panicking.
-///
-/// # Errors
-///
-/// Returns [`SimAbort::DeadlineExceeded`] when a `deadline` is given and
-/// the simulation's wall clock exceeds it, and [`SimAbort::CycleLimit`] on
-/// a suspected livelock.
-pub fn run_one_with_deadline(
-    workload: Workload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-) -> Result<SimResult, SimAbort> {
-    run_one_configured(
-        workload,
-        kind,
-        scale,
-        deadline,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
-}
-
-/// [`run_one_with_deadline`] with an explicit prefetch-lifecycle telemetry
-/// level and throttle mode. Telemetry never perturbs the simulated machine
-/// (test-locked by the sim crate's invisibility tests); it only populates
-/// [`SimResult::telemetry`]. Throttling *does* change the machine (it is
-/// the point), except [`ThrottleMode::Off`], which attaches no controller
-/// and is bit-for-bit invisible.
-///
-/// # Errors
-///
-/// Same as [`run_one_with_deadline`].
-pub fn run_one_configured(
-    workload: Workload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> Result<SimResult, SimAbort> {
-    let cfg = SystemConfig::paper();
-    let sources = workload.sources(cfg.cores, scale.seed);
-    let mut system =
-        System::with_prefetchers(cfg, sources, |_| kind.build(), scale.instructions_per_core)
-            .with_warmup(scale.warmup_per_core)
-            .with_telemetry(telemetry)
-            .with_throttle(throttle);
-    if let Some(limit) = deadline {
-        system = system.with_time_limit(limit);
-    }
-    system.try_run()
-}
-
-/// Runs one (workload, prefetcher) simulation on the paper's 4-core system.
-///
-/// # Panics
-///
-/// Panics on a suspected simulator livelock (cycle-limit abort), like
-/// [`System::run`].
-pub fn run_one(workload: Workload, kind: PrefetcherKind, scale: RunScale) -> SimResult {
-    match run_one_with_deadline(workload, kind, scale, None) {
-        Ok(result) => result,
-        Err(SimAbort::CycleLimit { .. }) => panic!("simulation livelock suspected"),
-        Err(abort) => panic!("{abort}"),
-    }
-}
-
-/// How one sweep cell resolved. A fault-tolerant sweep never lets a cell
-/// take down its siblings: a panicking prefetcher or a blown deadline
-/// becomes a value here, reported at the end, while every other cell runs
-/// to completion.
-#[derive(Clone, Debug)]
-pub enum CellOutcome {
-    /// The simulation completed normally (boxed: a `SimResult` dwarfs the
-    /// failure variants).
-    Ok(Box<SimResult>),
-    /// The cell's code panicked; the payload message is preserved for the
-    /// failure report.
-    Panicked {
-        /// The panic payload, stringified.
-        message: String,
-    },
-    /// The cell exceeded the per-cell soft deadline.
-    TimedOut {
-        /// The deadline that was exceeded.
-        limit: Duration,
-    },
-}
-
-impl CellOutcome {
-    /// Whether the cell completed normally.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, CellOutcome::Ok(_))
-    }
-}
-
-/// Stringifies a panic payload: `&str` and `String` payloads (everything
-/// `panic!` produces) verbatim, anything else a placeholder.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "opaque panic payload".to_string())
-    }
-}
-
-/// Runs one cell with panic isolation and an optional soft deadline: the
-/// fault-tolerant core of the sweep. Never panics and never blocks past
-/// the deadline (checked at instruction-batch granularity inside the
-/// simulation loop) — every failure mode comes back as a [`CellOutcome`].
-pub fn run_cell(
-    workload: Workload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-) -> CellOutcome {
-    run_cell_configured(
-        workload,
-        kind,
-        scale,
-        deadline,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
-}
-
-/// [`run_cell`] with an explicit telemetry level and throttle mode.
-pub fn run_cell_configured(
-    workload: Workload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> CellOutcome {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_one_configured(workload, kind, scale, deadline, telemetry, throttle)
-    }));
-    match attempt {
-        Ok(Ok(result)) => CellOutcome::Ok(Box::new(result)),
-        Ok(Err(SimAbort::DeadlineExceeded { limit })) => CellOutcome::TimedOut { limit },
-        Ok(Err(abort @ SimAbort::CycleLimit { .. })) => CellOutcome::Panicked {
-            message: abort.to_string(),
-        },
-        Err(payload) => CellOutcome::Panicked {
-            message: panic_message(payload.as_ref()),
-        },
-    }
-}
-
-/// The checkpoint key of a cell: everything that determines its
-/// [`SimResult`] (see the determinism notes in the module docs). Two cells
-/// with equal keys are interchangeable across process lifetimes.
-pub fn cell_key(scale: RunScale, workload: Workload, kind: PrefetcherKind) -> String {
-    format!(
-        "{}/{}/{}/{:?}/{:?}",
-        scale.seed, scale.instructions_per_core, scale.warmup_per_core, workload, kind
-    )
-}
-
-/// [`cell_key`] extended with the telemetry level. A telemetry-off run
-/// keeps the historical key unchanged, so checkpoints written before the
-/// telemetry layer existed stay valid; telemetry-on runs get their own
-/// namespace (their results carry the extra report, which a telemetry-off
-/// resume must not replay).
-pub fn cell_key_with_telemetry(
-    scale: RunScale,
-    workload: Workload,
-    kind: PrefetcherKind,
-    telemetry: TelemetryLevel,
-) -> String {
-    let base = cell_key(scale, workload, kind);
-    match telemetry {
-        TelemetryLevel::Off => base,
-        TelemetryLevel::Counts => format!("{base}/telemetry=counts"),
-        TelemetryLevel::Trace => format!("{base}/telemetry=trace"),
-    }
-}
-
-/// [`cell_key_with_telemetry`] further extended with the throttle mode,
-/// following the same namespacing rule: the default ([`ThrottleMode::Off`])
-/// keeps the historical key byte-for-byte, so every checkpoint written
-/// before the throttle subsystem existed stays valid, while throttled runs
-/// — whose results genuinely differ — live in their own namespace and can
-/// never be replayed into (or poisoned by) an unthrottled sweep.
-pub fn cell_key_with_options(
-    scale: RunScale,
-    workload: Workload,
-    kind: PrefetcherKind,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> String {
-    let base = cell_key_with_telemetry(scale, workload, kind, telemetry);
-    match throttle {
-        ThrottleMode::Off => base,
-        ThrottleMode::Static | ThrottleMode::Feedback | ThrottleMode::Percore => {
-            format!("{base}/throttle={throttle}")
-        }
-    }
-}
-
-/// Runs one (captured trace, prefetcher) simulation on the paper's 4-core
-/// system, replaying the trace's recorded instruction streams instead of
-/// the synthetic generators.
-///
-/// The trace's per-core `.btrc` files are opened under the workload's
-/// ingestion [`bingo_trace::Policy`]; a strict trace aborts the cell on the
-/// first corrupt byte (the typed [`bingo_trace::ReadError`], byte offset
-/// included, becomes the cell's panic message), while a lenient trace
-/// quarantines damage and reports it in [`SimResult::ingest`].
-///
-/// # Errors
-///
-/// Same as [`run_one_configured`].
-///
-/// # Panics
-///
-/// Panics if the trace directory cannot be opened or a stream is corrupt
-/// under the strict policy. Inside a sweep the panic is confined to the
-/// cell by [`run_trace_cell`]'s isolation.
-pub fn run_trace_one_configured(
-    trace: &TraceWorkload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> Result<SimResult, SimAbort> {
-    let cfg = SystemConfig::paper();
-    let sources = trace
-        .sources(cfg.cores)
-        .unwrap_or_else(|e| panic!("trace workload {}: {e}", trace.name()));
-    let mut system =
-        System::with_prefetchers(cfg, sources, |_| kind.build(), scale.instructions_per_core)
-            .with_warmup(scale.warmup_per_core)
-            .with_telemetry(telemetry)
-            .with_throttle(throttle);
-    if let Some(limit) = deadline {
-        system = system.with_time_limit(limit);
-    }
-    system.try_run()
-}
-
-/// [`run_cell_configured`] for a captured trace: panic isolation plus the
-/// optional soft deadline. A corrupt strict trace therefore resolves to
-/// [`CellOutcome::Panicked`] carrying the typed decode error (with its
-/// byte offset) instead of taking down the sweep.
-pub fn run_trace_cell(
-    trace: &TraceWorkload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> CellOutcome {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_trace_one_configured(trace, kind, scale, deadline, telemetry, throttle)
-    }));
-    match attempt {
-        Ok(Ok(result)) => CellOutcome::Ok(Box::new(result)),
-        Ok(Err(SimAbort::DeadlineExceeded { limit })) => CellOutcome::TimedOut { limit },
-        Ok(Err(abort @ SimAbort::CycleLimit { .. })) => CellOutcome::Panicked {
-            message: abort.to_string(),
-        },
-        Err(payload) => CellOutcome::Panicked {
-            message: panic_message(payload.as_ref()),
-        },
-    }
-}
-
-/// The checkpoint key of a trace-replay cell, namespaced apart from every
-/// synthetic cell by the `trace:` prefix. The trace's own key
-/// ([`TraceWorkload::key`]: path plus non-default policy) stands in for
-/// the (workload, seed) pair — replay ignores [`RunScale::seed`] because
-/// the instruction stream is fully determined by the recorded bytes, so
-/// including the seed would only split identical results across checkpoint
-/// entries. Telemetry and throttle extend the key under the same rules as
-/// [`cell_key_with_options`].
-pub fn trace_cell_key(
-    scale: RunScale,
-    trace_key: &str,
-    kind: PrefetcherKind,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> String {
-    let base = format!(
-        "trace:{}/{}/{}/{:?}",
-        trace_key, scale.instructions_per_core, scale.warmup_per_core, kind
-    );
-    let base = match telemetry {
-        TelemetryLevel::Off => base,
-        TelemetryLevel::Counts => format!("{base}/telemetry=counts"),
-        TelemetryLevel::Trace => format!("{base}/telemetry=trace"),
-    };
-    match throttle {
-        ThrottleMode::Off => base,
-        ThrottleMode::Static | ThrottleMode::Feedback | ThrottleMode::Percore => {
-            format!("{base}/throttle={throttle}")
-        }
-    }
-}
-
 /// Worker count for parallel sweeps: the `BINGO_JOBS` environment override
 /// when set, otherwise [`std::thread::available_parallelism`] (1 if that
 /// cannot be determined).
@@ -731,78 +432,314 @@ where
         .collect()
 }
 
-/// Runs one isolated cell, optionally emitting a progress/timing line
-/// (cell name, wall seconds, simulated instructions per wall second or the
-/// failure mode).
-fn timed_cell(
-    workload: Workload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-    progress: bool,
-) -> CellOutcome {
-    let start = Instant::now();
-    let outcome = run_cell_configured(workload, kind, scale, deadline, telemetry, throttle);
-    if progress {
-        let wall = start.elapsed().as_secs_f64();
-        let status = match &outcome {
-            CellOutcome::Ok(result) => format!(
-                "{:>6.2} Minstr/s",
-                result.instructions() as f64 / wall.max(1e-9) / 1e6
-            ),
-            CellOutcome::Panicked { .. } => "PANICKED".to_string(),
-            CellOutcome::TimedOut { .. } => "TIMED OUT".to_string(),
-        };
-        eprintln!(
-            "[cell] {:<14} {:<14} {:>7.2}s  {status}",
-            workload.name(),
-            kind.name(),
-            wall,
-        );
-    }
-    outcome
+/// What the cores of one cell run: their instruction streams, their
+/// prefetchers and their committed-instruction targets.
+#[derive(Clone, Debug)]
+pub enum Cores {
+    /// The classic cell: one synthetic workload and one prefetcher kind
+    /// on every core of the paper machine, each core at the full budget.
+    Uniform(Workload, PrefetcherKind),
+    /// A captured trace replayed on every core of the paper machine under
+    /// its ingestion [`bingo_trace::Policy`], one prefetcher kind on every
+    /// core. A strict trace fails the run on the first corrupt byte (the
+    /// typed [`bingo_trace::ReadError`], byte offset included, becomes the
+    /// panic message); a lenient one quarantines damage and reports it in
+    /// [`SimResult::ingest`].
+    Trace(TraceWorkload, PrefetcherKind),
+    /// A declared mix on a machine of the given core count; cores past
+    /// the declared slots repeat the pattern cyclically (see
+    /// [`MixConfig::assignment`]). The shared LLC, MSHR pool and DRAM
+    /// keep the paper machine's sizing.
+    Mix(MixConfig, usize),
+    /// One mix slot *alone* on a 1-core machine: the slot's instruction
+    /// stream (same slot index, so the same seed and address space),
+    /// prefetcher and target, with the whole memory system to itself.
+    /// A mix's per-core slowdown is this run's IPC over the slot's IPC
+    /// inside the mix.
+    Solo(MixAssignment, usize),
 }
 
-/// [`timed_cell`] for a captured trace: same progress-line format, with
-/// the trace's directory name in the workload column.
-fn timed_trace_cell(
-    trace: &TraceWorkload,
-    kind: PrefetcherKind,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-    progress: bool,
-) -> CellOutcome {
-    let start = Instant::now();
-    let outcome = run_trace_cell(trace, kind, scale, deadline, telemetry, throttle);
-    if progress {
-        let wall = start.elapsed().as_secs_f64();
-        let status = match &outcome {
-            CellOutcome::Ok(result) => format!(
-                "{:>6.2} Minstr/s",
-                result.instructions() as f64 / wall.max(1e-9) / 1e6
-            ),
-            CellOutcome::Panicked { .. } => "PANICKED".to_string(),
-            CellOutcome::TimedOut { .. } => "TIMED OUT".to_string(),
-        };
-        eprintln!(
-            "[cell] {:<14} {:<14} {:>7.2}s  {status}",
-            trace.name(),
-            kind.name(),
-            wall,
-        );
-    }
-    outcome
+/// One fully declared simulation. Build it with [`CellSpec::new`] and
+/// set the rest with struct-update syntax:
+///
+/// ```
+/// use bingo_bench::{CellSpec, Cores, PrefetcherKind, RunScale};
+/// use bingo_sim::ThrottleMode;
+/// use bingo_workloads::Workload;
+///
+/// let scale = RunScale { instructions_per_core: 2_000, warmup_per_core: 1_000, seed: 1 };
+/// let spec = CellSpec {
+///     throttle: ThrottleMode::Feedback,
+///     ..CellSpec::new(Cores::Uniform(Workload::Streaming, PrefetcherKind::Bingo), scale)
+/// };
+/// assert_eq!(spec.key().unwrap(), "1/2000/1000/Streaming/Bingo/throttle=feedback");
+/// assert!(spec.run().is_ok());
+/// ```
+#[derive(Clone, Debug)]
+pub struct CellSpec {
+    /// What every core runs.
+    pub cores: Cores,
+    /// Instruction budget, warmup and workload seed.
+    pub scale: RunScale,
+    /// Memory-pressure level applied to the shared resources.
+    pub pressure: Pressure,
+    /// Prefetch-lifecycle telemetry level. Telemetry never changes the
+    /// simulated machine; it only populates [`SimResult::telemetry`].
+    pub telemetry: TelemetryLevel,
+    /// Prefetch-throttle mode. [`ThrottleMode::Off`] attaches no
+    /// controller and is bit-for-bit invisible.
+    pub throttle: ThrottleMode,
+    /// Starvation-SLO override for [`ThrottleMode::Percore`]; `None`
+    /// keeps [`bingo_sim::DEFAULT_QOS_SLO`].
+    pub qos_slo: Option<f64>,
+    /// Plan of a chaos injector perturbing the live run.
+    pub chaos: Option<ChaosPlan>,
+    /// Soft wall-clock deadline, checked at instruction-batch
+    /// granularity inside the simulation loop.
+    pub deadline: Option<Duration>,
 }
 
-/// Serial runner with per-workload baseline caching.
-#[derive(Debug, Default)]
-pub struct Harness {
-    scale: RunScale,
-    baselines: HashMap<Workload, SimResult>,
+impl CellSpec {
+    /// A spec for `cores` at `scale` with every option at its default:
+    /// no pressure, telemetry, throttle, SLO override, chaos or deadline.
+    pub fn new(cores: Cores, scale: RunScale) -> CellSpec {
+        CellSpec {
+            cores,
+            scale,
+            pressure: Pressure::NONE,
+            telemetry: TelemetryLevel::Off,
+            throttle: ThrottleMode::Off,
+            qos_slo: None,
+            chaos: None,
+            deadline: None,
+        }
+    }
+
+    /// The core count of the cell's machine.
+    pub fn core_count(&self) -> usize {
+        match &self.cores {
+            Cores::Uniform(..) | Cores::Trace(..) => SystemConfig::paper().cores,
+            Cores::Mix(_, cores) => *cores,
+            Cores::Solo(..) => 1,
+        }
+    }
+
+    /// The runs this cell is read against: the no-prefetcher run of the
+    /// same workload or trace, or the solo run of every mix slot. A solo
+    /// run has none.
+    pub fn references(&self) -> Vec<CellSpec> {
+        let with = |cores: Cores| CellSpec {
+            cores,
+            ..self.clone()
+        };
+        match &self.cores {
+            Cores::Uniform(w, _) => vec![with(Cores::Uniform(*w, PrefetcherKind::None))],
+            Cores::Trace(t, _) => vec![with(Cores::Trace(t.clone(), PrefetcherKind::None))],
+            Cores::Mix(mix, cores) => (0..*cores)
+                .map(|slot| with(Cores::Solo(mix.assignment(slot), slot)))
+                .collect(),
+            Cores::Solo(..) => Vec::new(),
+        }
+    }
+
+    /// Human-readable name of the cell for progress lines and failure
+    /// reports: `em3d / Bingo`, `<trace> / Bingo`, `<mix>@4 / scarce`,
+    /// `solo c1=streaming+Stride / scarce`.
+    pub fn label(&self) -> String {
+        match &self.cores {
+            Cores::Uniform(w, k) => format!("{} / {}", w.name(), k.name()),
+            Cores::Trace(t, k) => format!("{} / {}", t.name(), k.name()),
+            Cores::Mix(mix, cores) => format!("{}@{cores} / {}", mix.name, self.pressure.name),
+            Cores::Solo(a, slot) => format!("solo {} / {}", a.slot_spec(*slot), self.pressure.name),
+        }
+    }
+
+    /// The checkpoint/stats key: everything that determines the result.
+    /// Two specs with equal keys are interchangeable across process
+    /// lifetimes. The four namespaces:
+    ///
+    /// * classic: `{seed}/{instr}/{warmup}/{Workload:?}/{Kind:?}`;
+    /// * trace: `trace:{TraceWorkload::key}/{instr}/{warmup}/{Kind:?}` —
+    ///   no seed, the recorded bytes fix the stream;
+    /// * mix: `mix:{seed}/{instr}/{warmup}/{name}@{cores}/{MixConfig::spec}`
+    ///   — renaming a mix *or* editing its slots invalidates old entries;
+    /// * solo: `mix-solo:{seed}/{instr}/{warmup}/{slot spec}` — not
+    ///   namespaced by mix name, so mixes sharing a slot share its solo.
+    ///
+    /// Then `/pressure=…`, `/telemetry=…` and `/throttle=…` follow, each
+    /// only when not at its default, so default-mode keys stay
+    /// byte-for-byte those of checkpoints written before the option
+    /// existed.
+    ///
+    /// `None` for a spec carrying a chaos plan or an SLO override: such
+    /// runs are never checkpointed, cached or exported under a key.
+    pub fn key(&self) -> Option<String> {
+        if self.chaos.is_some() || self.qos_slo.is_some() {
+            return None;
+        }
+        let RunScale {
+            instructions_per_core: instr,
+            warmup_per_core: warmup,
+            seed,
+        } = self.scale;
+        let base = match &self.cores {
+            Cores::Uniform(w, k) => format!("{seed}/{instr}/{warmup}/{w:?}/{k:?}"),
+            Cores::Trace(t, k) => format!("trace:{}/{instr}/{warmup}/{k:?}", t.key()),
+            Cores::Mix(mix, cores) => format!(
+                "mix:{seed}/{instr}/{warmup}/{}@{cores}/{}",
+                mix.name,
+                mix.spec()
+            ),
+            Cores::Solo(a, slot) => {
+                format!("mix-solo:{seed}/{instr}/{warmup}/{}", a.slot_spec(*slot))
+            }
+        };
+        let telemetry = match self.telemetry {
+            TelemetryLevel::Off => "",
+            TelemetryLevel::Counts => "/telemetry=counts",
+            TelemetryLevel::Trace => "/telemetry=trace",
+        };
+        let throttle = match self.throttle {
+            ThrottleMode::Off => String::new(),
+            mode => format!("/throttle={mode}"),
+        };
+        Some(format!(
+            "{base}{}{telemetry}{throttle}",
+            self.pressure.key_suffix()
+        ))
+    }
+
+    /// Builds and runs the cell's machine, reporting deadline or
+    /// cycle-limit aborts as values.
+    ///
+    /// # Errors
+    ///
+    /// [`SimAbort::DeadlineExceeded`] when the deadline expires,
+    /// [`SimAbort::CycleLimit`] on a suspected livelock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a trace cannot be opened or is corrupt under the strict
+    /// policy, or if a mix machine has zero cores;
+    /// [`CellSpec::run_isolated`] confines such panics to the cell.
+    pub fn run(&self) -> Result<SimResult, SimAbort> {
+        let cores = self.core_count();
+        assert!(cores > 0, "a cell machine needs at least one core");
+        let RunScale {
+            instructions_per_core: instr,
+            warmup_per_core: warmup,
+            seed,
+        } = self.scale;
+        let mut cfg = SystemConfig::paper().with_cores(cores);
+        self.pressure.apply(&mut cfg);
+        cfg.qos_slo = self.qos_slo;
+        let sources = match &self.cores {
+            Cores::Uniform(w, _) => w.sources(cores, seed),
+            Cores::Trace(t, _) => t
+                .sources(cores)
+                .unwrap_or_else(|e| panic!("trace workload {}: {e}", t.name())),
+            Cores::Mix(mix, _) => (0..cores)
+                .map(|i| mix.assignment(i).workload.source_for_core(i, seed))
+                .collect(),
+            Cores::Solo(a, slot) => vec![a.workload.source_for_core(*slot, seed)],
+        };
+        let (kinds, targets): (Vec<PrefetcherKind>, Vec<u64>) = (0..cores)
+            .map(|i| match &self.cores {
+                Cores::Uniform(_, k) | Cores::Trace(_, k) => (*k, instr),
+                Cores::Mix(mix, _) => {
+                    let a = mix.assignment(i);
+                    (a.prefetcher, a.instructions(instr))
+                }
+                Cores::Solo(a, _) => (a.prefetcher, a.instructions(instr)),
+            })
+            .unzip();
+        let prefetchers = kinds.iter().map(|k| k.build()).collect();
+        let mut system = System::new_heterogeneous(cfg, sources, prefetchers, &targets)
+            .with_warmup(warmup)
+            .with_telemetry(self.telemetry)
+            .with_throttle(self.throttle);
+        if let Some(plan) = &self.chaos {
+            system = system.with_chaos(ChaosInjector::new(plan.clone()));
+        }
+        if let Some(limit) = self.deadline {
+            system = system.with_time_limit(limit);
+        }
+        system.try_run()
+    }
+
+    /// [`CellSpec::run`] with panic isolation: never panics and never
+    /// blocks past the deadline — every failure mode comes back as a
+    /// [`CellOutcome`]. With `progress` set, prints a `[cell]` line to
+    /// stderr: the label, wall seconds, and simulated instructions per
+    /// wall second or the failure mode.
+    pub fn run_isolated(&self, progress: bool) -> CellOutcome {
+        let start = Instant::now();
+        let outcome = match catch_unwind(AssertUnwindSafe(|| self.run())) {
+            Ok(Ok(result)) => CellOutcome::Ok(Box::new(result)),
+            Ok(Err(SimAbort::DeadlineExceeded { limit })) => CellOutcome::TimedOut { limit },
+            Ok(Err(abort @ SimAbort::CycleLimit { .. })) => CellOutcome::Panicked {
+                message: abort.to_string(),
+            },
+            Err(payload) => CellOutcome::Panicked {
+                message: panic_message(payload.as_ref()),
+            },
+        };
+        if progress {
+            let wall = start.elapsed().as_secs_f64();
+            let status = match &outcome {
+                CellOutcome::Ok(result) => format!(
+                    "{:>6.2} Minstr/s",
+                    result.instructions() as f64 / wall.max(1e-9) / 1e6
+                ),
+                CellOutcome::Panicked { .. } => "PANICKED".to_string(),
+                CellOutcome::TimedOut { .. } => "TIMED OUT".to_string(),
+            };
+            eprintln!("[cell] {:<32} {wall:>7.2}s  {status}", self.label());
+        }
+        outcome
+    }
+}
+
+/// How one sweep cell resolved. A fault-tolerant sweep never lets a cell
+/// take down its siblings: a panicking prefetcher or a blown deadline
+/// becomes a value here, reported at the end, while every other cell runs
+/// to completion.
+#[derive(Clone, Debug)]
+pub enum CellOutcome {
+    /// The simulation completed normally (boxed: a `SimResult` dwarfs the
+    /// failure variants).
+    Ok(Box<SimResult>),
+    /// The cell's code panicked; the payload message is preserved for the
+    /// failure report.
+    Panicked {
+        /// The panic payload, stringified.
+        message: String,
+    },
+    /// The cell exceeded the per-cell soft deadline.
+    TimedOut {
+        /// The deadline that was exceeded.
+        limit: Duration,
+    },
+}
+
+impl CellOutcome {
+    /// Whether the cell completed normally.
+    pub fn is_ok(&self) -> bool {
+        matches!(self, CellOutcome::Ok(_))
+    }
+}
+
+/// Stringifies a panic payload: `&str` and `String` payloads (everything
+/// `panic!` produces) verbatim, anything else a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "opaque panic payload".to_string())
+    }
 }
 
 impl Default for RunScale {
@@ -811,52 +748,12 @@ impl Default for RunScale {
     }
 }
 
-impl Harness {
-    /// Creates a harness at the given scale.
-    pub fn new(scale: RunScale) -> Self {
-        Harness {
-            scale,
-            baselines: HashMap::new(),
-        }
-    }
-
-    /// The scale in use.
-    pub fn scale(&self) -> RunScale {
-        self.scale
-    }
-
-    /// The cached no-prefetcher baseline for a workload.
-    pub fn baseline(&mut self, workload: Workload) -> &SimResult {
-        let scale = self.scale;
-        self.baselines
-            .entry(workload)
-            .or_insert_with(|| run_one(workload, PrefetcherKind::None, scale))
-    }
-
-    /// Runs a prefetcher on a workload and reports coverage/overprediction
-    /// against the cached baseline, plus the speedup.
-    pub fn evaluate(&mut self, workload: Workload, kind: PrefetcherKind) -> Evaluation {
-        let result = run_one(workload, kind, self.scale);
-        let baseline = self.baseline(workload).clone();
-        let coverage = CoverageReport::from_runs(&result, &baseline);
-        let speedup = result.speedup_over(&baseline);
-        Evaluation {
-            workload,
-            kind,
-            coverage,
-            speedup,
-            result,
-            baseline,
-        }
-    }
-}
-
-/// Parallel experiment harness: evaluates (workload × prefetcher) grids on
-/// a bounded worker pool, computing each workload's no-prefetcher baseline
+/// Parallel experiment harness: resolves grids of [`CellSpec`]s on a
+/// bounded worker pool, computing every reference run (baseline or solo)
 /// exactly once in a shared cache.
 ///
-/// Results are bit-for-bit identical to [`Harness`] — see the module docs
-/// for the determinism argument.
+/// Results are bit-for-bit independent of the worker count — see the
+/// module docs for the determinism argument.
 #[derive(Debug)]
 pub struct ParallelHarness {
     scale: RunScale,
@@ -867,9 +764,8 @@ pub struct ParallelHarness {
     telemetry: TelemetryLevel,
     throttle: ThrottleMode,
     stats: Option<StatsExport>,
-    baselines: HashMap<Workload, SimResult>,
-    trace_baselines: HashMap<String, SimResult>,
-    mix_solos: HashMap<String, SimResult>,
+    /// Every completed keyed run of this harness's lifetime.
+    cache: HashMap<String, SimResult>,
 }
 
 /// Parses the `BINGO_CELL_TIMEOUT` value (seconds, fractional allowed),
@@ -946,9 +842,7 @@ impl ParallelHarness {
             telemetry: TelemetryLevel::Off,
             throttle: ThrottleMode::Off,
             stats: None,
-            baselines: HashMap::new(),
-            trace_baselines: HashMap::new(),
-            mix_solos: HashMap::new(),
+            cache: HashMap::new(),
         }
     }
 
@@ -967,17 +861,17 @@ impl ParallelHarness {
     }
 
     /// Attaches a checkpoint: completed cells are made durable as they
-    /// finish, and cells (or baselines) already in the checkpoint are
-    /// replayed from it instead of re-simulated.
+    /// finish, and cells (or reference runs) already in the checkpoint
+    /// are replayed from it instead of re-simulated.
     pub fn with_checkpoint(mut self, checkpoint: Checkpoint) -> Self {
         self.checkpoint = Some(checkpoint);
         self
     }
 
     /// Sets the prefetch-lifecycle telemetry level for every cell
-    /// (baselines included). Telemetry never changes the simulated
+    /// (reference runs included). Telemetry never changes the simulated
     /// machine; it adds a [`bingo_sim::TelemetryReport`] to each result
-    /// and namespaces the checkpoint keys (see [`cell_key_with_telemetry`]).
+    /// and namespaces the checkpoint keys (see [`CellSpec::key`]).
     pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
         self.telemetry = level;
         self
@@ -1005,7 +899,8 @@ impl ParallelHarness {
     }
 
     /// Attaches a machine-readable stats export: every completed cell and
-    /// baseline (checkpoint replays included) is written as one JSON line.
+    /// reference run (checkpoint replays included) is written as one JSON
+    /// line.
     pub fn with_stats_export(mut self, export: StatsExport) -> Self {
         self.stats = Some(export);
         self
@@ -1021,113 +916,163 @@ impl ParallelHarness {
         self.jobs
     }
 
-    /// Ensures the no-prefetcher baseline of every listed workload is
-    /// cached, computing the missing ones in parallel — each exactly once,
-    /// regardless of how many cells reference it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a baseline simulation fails (panics or exceeds the cell
-    /// deadline); [`ParallelHarness::try_evaluate_grid`] reports such
-    /// failures as values instead.
-    pub fn prime_baselines(&mut self, workloads: &[Workload]) {
-        let (failures, _) = self.try_prime_baselines(workloads);
-        if let Some(f) = failures.first() {
-            panic!("baseline for {} failed: {}", f.workload.name(), f.reason);
+    /// A spec for `cores` at this harness's scale, telemetry level,
+    /// throttle mode and cell deadline.
+    pub fn spec(&self, cores: Cores) -> CellSpec {
+        CellSpec {
+            telemetry: self.telemetry,
+            throttle: self.throttle,
+            deadline: self.cell_timeout,
+            ..CellSpec::new(cores, self.scale)
         }
     }
 
-    /// Fault-tolerant baseline priming: failed baselines come back as
-    /// [`CellFailure`]s (kind [`PrefetcherKind::None`]) instead of
-    /// panicking. Returns the failures plus the number of baselines
-    /// replayed from the checkpoint.
-    fn try_prime_baselines(&mut self, workloads: &[Workload]) -> (Vec<CellFailure>, usize) {
-        let mut missing: Vec<Workload> = Vec::new();
-        for &w in workloads {
-            if !self.baselines.contains_key(&w) && !missing.contains(&w) {
-                missing.push(w);
-            }
-        }
-        let scale = self.scale;
-        let telemetry = self.telemetry;
-        let throttle = self.throttle;
+    /// The one resolve engine: the outcome of every spec, in input order,
+    /// plus the number of checkpoint hits. Each spec is looked up in the
+    /// in-memory cache, then in the checkpoint; the rest run on the worker
+    /// pool, one simulation per distinct key. Fresh results are then
+    /// recorded to the checkpoint, and every completed keyed result,
+    /// replays included, to the stats export. Write errors degrade the
+    /// checkpoint or export, never the sweep.
+    pub fn resolve(&mut self, specs: &[CellSpec]) -> (Vec<CellOutcome>, usize) {
+        let keys: Vec<Option<String>> = specs.iter().map(CellSpec::key).collect();
+        let mut outcomes: Vec<Option<CellOutcome>> = vec![None; specs.len()];
         let mut hits = 0;
-        if let Some(cp) = &self.checkpoint {
-            missing.retain(|&w| {
-                match cp.get(&cell_key_with_options(
-                    scale,
-                    w,
-                    PrefetcherKind::None,
-                    telemetry,
-                    throttle,
-                )) {
-                    Some(result) => {
-                        self.baselines.insert(w, result);
-                        hits += 1;
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        if missing.is_empty() {
-            return (Vec::new(), hits);
+        let mut todo: Vec<usize> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let Some(key) = key else {
+                todo.push(i);
+                continue;
+            };
+            if let Some(result) = self.cache.get(key) {
+                outcomes[i] = Some(CellOutcome::Ok(Box::new(result.clone())));
+            } else if let Some(result) = self.checkpoint.as_ref().and_then(|cp| cp.get(key)) {
+                hits += 1;
+                self.cache.insert(key.clone(), result.clone());
+                outcomes[i] = Some(CellOutcome::Ok(Box::new(result)));
+            } else if !todo.iter().any(|&j| keys[j].as_ref() == Some(key)) {
+                todo.push(i);
+            }
         }
         let progress = self.progress;
-        let deadline = self.cell_timeout;
-        let outcomes = parallel_map(self.jobs, missing.len(), |i| {
-            timed_cell(
-                missing[i],
-                PrefetcherKind::None,
-                scale,
-                deadline,
-                telemetry,
-                throttle,
-                progress,
-            )
+        let ran = parallel_map(self.jobs, todo.len(), |j| {
+            specs[todo[j]].run_isolated(progress)
         });
+        for (&i, outcome) in todo.iter().zip(ran) {
+            if let (CellOutcome::Ok(result), Some(key)) = (&outcome, &keys[i]) {
+                if let Some(cp) = &self.checkpoint {
+                    if let Err(e) = cp.record(key, result) {
+                        eprintln!("[checkpoint] write for {key} failed: {e}");
+                    }
+                }
+                self.cache.insert(key.clone(), (**result).clone());
+            }
+            outcomes[i] = Some(outcome);
+        }
+        // A repeated key shares the outcome of its first occurrence.
+        for i in 0..specs.len() {
+            if outcomes[i].is_none() {
+                let first = keys.iter().position(|k| *k == keys[i]);
+                outcomes[i] = first.and_then(|j| outcomes[j].clone());
+            }
+        }
+        let outcomes: Vec<CellOutcome> = outcomes
+            .into_iter()
+            .map(|o| o.expect("every spec was resolved or run"))
+            .collect();
+        if let Some(stats) = &self.stats {
+            for (key, outcome) in keys.iter().zip(&outcomes) {
+                if let (Some(key), CellOutcome::Ok(result)) = (key, outcome) {
+                    if let Err(e) = stats.record(key, result) {
+                        eprintln!("[stats] write for {key} failed: {e}");
+                    }
+                }
+            }
+        }
+        (outcomes, hits)
+    }
+
+    /// The shared grid pipeline: resolves every distinct reference run of
+    /// `cells` (first-need order), then the cells whose references all
+    /// completed, and derives each evaluation from a cell's result and
+    /// its references' results. A cell whose reference failed is not run
+    /// and is reported as a failure tied to that reference.
+    fn evaluate_cells<E>(
+        &mut self,
+        cells: &[CellSpec],
+        derive: impl Fn(&CellSpec, SimResult, Vec<SimResult>) -> E,
+    ) -> GridReport<E> {
+        let started = Instant::now();
+        let mut refs: Vec<CellSpec> = Vec::new();
+        for r in cells.iter().flat_map(CellSpec::references) {
+            if !refs.iter().any(|q| q.key() == r.key()) {
+                refs.push(r);
+            }
+        }
+        let (ref_outcomes, ref_hits) = self.resolve(&refs);
         let mut failures = Vec::new();
-        for (w, outcome) in missing.into_iter().zip(outcomes) {
+        let mut ref_results: HashMap<Option<String>, SimResult> = HashMap::new();
+        for (r, outcome) in refs.iter().zip(ref_outcomes) {
             match outcome {
                 CellOutcome::Ok(result) => {
-                    self.record_checkpoint(w, PrefetcherKind::None, &result);
-                    self.baselines.insert(w, *result);
+                    ref_results.insert(r.key(), *result);
                 }
-                failed => failures.push(CellFailure::new(w, PrefetcherKind::None, &failed)),
+                failed => failures.push(CellFailure::new(r, &failed)),
             }
         }
-        (failures, hits)
-    }
 
-    /// Appends a completed cell to the checkpoint, if one is attached.
-    /// Write errors degrade the checkpoint (the cell will re-run on
-    /// resume), never the sweep.
-    fn record_checkpoint(&self, workload: Workload, kind: PrefetcherKind, result: &SimResult) {
-        if let Some(cp) = &self.checkpoint {
-            let key =
-                cell_key_with_options(self.scale, workload, kind, self.telemetry, self.throttle);
-            if let Err(e) = cp.record(&key, result) {
-                eprintln!("[checkpoint] write for {key} failed: {e}");
-            }
+        let mut blocked: Vec<Option<CellOutcome>> = cells
+            .iter()
+            .map(|cell| {
+                let failed = cell
+                    .references()
+                    .into_iter()
+                    .find(|r| !ref_results.contains_key(&r.key()))?;
+                Some(CellOutcome::Panicked {
+                    message: format!("not run: its reference run {} failed", failed.label()),
+                })
+            })
+            .collect();
+        let runnable: Vec<usize> = (0..cells.len()).filter(|&i| blocked[i].is_none()).collect();
+        let specs: Vec<CellSpec> = runnable.iter().map(|&i| cells[i].clone()).collect();
+        let (ran, hits) = self.resolve(&specs);
+        for (&i, outcome) in runnable.iter().zip(ran) {
+            blocked[i] = Some(outcome);
         }
-    }
-
-    /// Appends a completed cell to the stats export, if one is attached.
-    /// Write errors degrade the export, never the sweep.
-    fn record_stats(&self, workload: Workload, kind: PrefetcherKind, result: &SimResult) {
-        if let Some(stats) = &self.stats {
-            let key =
-                cell_key_with_options(self.scale, workload, kind, self.telemetry, self.throttle);
-            if let Err(e) = stats.record(&key, result) {
-                eprintln!("[stats] write for {key} failed: {e}");
-            }
+        if self.progress && cells.len() > 1 {
+            eprintln!(
+                "[grid] {} cells in {:.1}s on {} worker(s)",
+                cells.len(),
+                started.elapsed().as_secs_f64(),
+                self.jobs.min(cells.len()),
+            );
         }
-    }
 
-    /// The cached no-prefetcher baseline for a workload.
-    pub fn baseline(&mut self, workload: Workload) -> &SimResult {
-        self.prime_baselines(&[workload]);
-        &self.baselines[&workload]
+        let evaluations = cells
+            .iter()
+            .zip(blocked)
+            .map(
+                |(cell, outcome)| match outcome.expect("every cell resolved") {
+                    CellOutcome::Ok(result) => {
+                        let refs = cell
+                            .references()
+                            .iter()
+                            .map(|r| ref_results[&r.key()].clone())
+                            .collect();
+                        Some(derive(cell, *result, refs))
+                    }
+                    failed => {
+                        failures.push(CellFailure::new(cell, &failed));
+                        None
+                    }
+                },
+            )
+            .collect();
+        GridReport {
+            evaluations,
+            failures,
+            checkpoint_hits: ref_hits + hits,
+        }
     }
 
     /// Evaluates every (workload, prefetcher) cell of `cells` across the
@@ -1147,125 +1092,14 @@ impl ParallelHarness {
     /// report carries an evaluation slot per input cell (in input order;
     /// `None` where the cell failed) plus one [`CellFailure`] per failed
     /// cell or baseline. With a checkpoint attached, completed cells are
-    /// made durable immediately and already-recorded cells are replayed
-    /// without re-simulation.
+    /// made durable and already-recorded cells are replayed without
+    /// re-simulation.
     pub fn try_evaluate_grid(&mut self, cells: &[(Workload, PrefetcherKind)]) -> GridReport {
-        let workloads: Vec<Workload> = cells.iter().map(|&(w, _)| w).collect();
-        let (mut failures, mut checkpoint_hits) = self.try_prime_baselines(&workloads);
-        let failed_baselines: Vec<Workload> = failures.iter().map(|f| f.workload).collect();
-        let scale = self.scale;
-        let progress = self.progress;
-        let deadline = self.cell_timeout;
-        let telemetry = self.telemetry;
-        let throttle = self.throttle;
-        let started = Instant::now();
-
-        // Resolve what we can without simulating: cells whose baseline is
-        // gone (nothing to compare against) and cells already in the
-        // checkpoint.
-        let mut resolved: Vec<Option<CellOutcome>> = cells
+        let specs: Vec<CellSpec> = cells
             .iter()
-            .map(|&(w, k)| {
-                if failed_baselines.contains(&w) {
-                    return Some(CellOutcome::Panicked {
-                        message: format!("not run: the {} no-prefetcher baseline failed", w.name()),
-                    });
-                }
-                if let Some(cp) = &self.checkpoint {
-                    if let Some(result) =
-                        cp.get(&cell_key_with_options(scale, w, k, telemetry, throttle))
-                    {
-                        checkpoint_hits += 1;
-                        return Some(CellOutcome::Ok(Box::new(result)));
-                    }
-                }
-                None
-            })
+            .map(|&(w, k)| self.spec(Cores::Uniform(w, k)))
             .collect();
-
-        let todo: Vec<usize> = (0..cells.len())
-            .filter(|&i| resolved[i].is_none())
-            .collect();
-        let outcomes = parallel_map(self.jobs, todo.len(), |j| {
-            let (w, k) = cells[todo[j]];
-            timed_cell(w, k, scale, deadline, telemetry, throttle, progress)
-        });
-        for (&i, outcome) in todo.iter().zip(outcomes) {
-            if let CellOutcome::Ok(result) = &outcome {
-                let (w, k) = cells[i];
-                self.record_checkpoint(w, k, result);
-            }
-            resolved[i] = Some(outcome);
-        }
-        if progress && cells.len() > 1 {
-            eprintln!(
-                "[grid] {} cells in {:.1}s on {} worker(s)",
-                cells.len(),
-                started.elapsed().as_secs_f64(),
-                self.jobs.min(cells.len()),
-            );
-        }
-
-        let evaluations: Vec<Option<Evaluation>> = cells
-            .iter()
-            .zip(resolved)
-            .map(|(&(workload, kind), outcome)| {
-                let outcome = outcome.expect("every cell was resolved or run");
-                match outcome {
-                    CellOutcome::Ok(result) => {
-                        let baseline = self.baselines[&workload].clone();
-                        let coverage = CoverageReport::from_runs(&result, &baseline);
-                        let speedup = result.speedup_over(&baseline);
-                        Some(Evaluation {
-                            workload,
-                            kind,
-                            coverage,
-                            speedup,
-                            result: *result,
-                            baseline,
-                        })
-                    }
-                    failed => {
-                        failures.push(CellFailure::new(workload, kind, &failed));
-                        None
-                    }
-                }
-            })
-            .collect();
-        self.export_stats(cells, &failed_baselines, &evaluations);
-        GridReport {
-            evaluations,
-            failures,
-            checkpoint_hits,
-        }
-    }
-
-    /// Writes the grid's machine-readable stats, if an export is attached:
-    /// each unique baseline once (first-occurrence order), then every
-    /// completed cell in input order. Checkpoint replays are included, so
-    /// the export is always the complete grid; the export itself
-    /// deduplicates keys across repeated grids.
-    fn export_stats(
-        &self,
-        cells: &[(Workload, PrefetcherKind)],
-        failed_baselines: &[Workload],
-        evaluations: &[Option<Evaluation>],
-    ) {
-        if self.stats.is_none() {
-            return;
-        }
-        let mut seen: Vec<Workload> = Vec::new();
-        for &(w, _) in cells {
-            if !seen.contains(&w) && !failed_baselines.contains(&w) {
-                seen.push(w);
-                if let Some(baseline) = self.baselines.get(&w) {
-                    self.record_stats(w, PrefetcherKind::None, baseline);
-                }
-            }
-        }
-        for e in evaluations.iter().flatten() {
-            self.record_stats(e.workload, e.kind, &e.result);
-        }
+        self.evaluate_cells(&specs, Evaluation::derive)
     }
 
     /// Row-major convenience over [`ParallelHarness::evaluate_grid`]:
@@ -1290,261 +1124,78 @@ impl ParallelHarness {
             .expect("one cell in, one evaluation out")
     }
 
-    /// Appends a completed trace cell to the checkpoint, if one is
-    /// attached; write errors degrade the checkpoint, never the sweep.
-    fn record_trace_checkpoint(
-        &self,
-        trace: &TraceWorkload,
-        kind: PrefetcherKind,
-        result: &SimResult,
-    ) {
-        if let Some(cp) = &self.checkpoint {
-            let key = trace_cell_key(
-                self.scale,
-                &trace.key(),
-                kind,
-                self.telemetry,
-                self.throttle,
-            );
-            if let Err(e) = cp.record(&key, result) {
-                eprintln!("[checkpoint] write for {key} failed: {e}");
-            }
-        }
-    }
-
-    /// Appends a completed trace cell to the stats export, if one is
-    /// attached; write errors degrade the export, never the sweep.
-    fn record_trace_stats(&self, trace: &TraceWorkload, kind: PrefetcherKind, result: &SimResult) {
-        if let Some(stats) = &self.stats {
-            let key = trace_cell_key(
-                self.scale,
-                &trace.key(),
-                kind,
-                self.telemetry,
-                self.throttle,
-            );
-            if let Err(e) = stats.record(&key, result) {
-                eprintln!("[stats] write for {key} failed: {e}");
-            }
-        }
-    }
-
-    /// The cached no-prefetcher baseline for a captured trace, keyed by
-    /// [`TraceWorkload::key`] (two handles to the same capture under the
-    /// same policy share one baseline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline replay fails (corrupt strict trace, panic,
-    /// or exceeded cell deadline); [`ParallelHarness::try_evaluate_trace_grid`]
-    /// reports such failures as values instead.
-    pub fn trace_baseline(&mut self, trace: &TraceWorkload) -> &SimResult {
-        let report = self.try_evaluate_trace_grid(std::slice::from_ref(trace), &[]);
-        if let Some(f) = report.failures.first() {
-            panic!("baseline for trace {} failed: {}", f.trace, f.reason);
-        }
-        &self.trace_baselines[&trace.key()]
-    }
-
     /// Row-major (trace × kind) sweep over captured traces, mirroring
-    /// [`ParallelHarness::evaluate_all`]: every kind replayed on every
-    /// trace, each trace's no-prefetcher baseline computed exactly once.
+    /// [`ParallelHarness::evaluate_all`].
     ///
     /// # Panics
     ///
     /// Panics — after completing every healthy cell and printing the full
-    /// failure report to stderr — if any cell failed. Callers that want
-    /// the failures as data use
-    /// [`ParallelHarness::try_evaluate_trace_grid`].
+    /// failure report to stderr — if any cell failed.
     pub fn evaluate_trace_grid(
         &mut self,
         traces: &[TraceWorkload],
         kinds: &[PrefetcherKind],
-    ) -> Vec<TraceEvaluation> {
+    ) -> Vec<Evaluation> {
         self.try_evaluate_trace_grid(traces, kinds).into_complete()
     }
 
-    /// Fault-tolerant trace sweep: every replay cell runs panic-isolated
-    /// and deadline-bounded, so one corrupt or slow trace cannot abort the
-    /// sweep. Strict-policy decode errors surface as [`TraceCellFailure`]s
-    /// carrying the typed error message (byte offset included); lenient
-    /// traces complete with their quarantine tallies in
-    /// [`SimResult::ingest`]. Checkpointing and stats export work exactly
-    /// as in [`ParallelHarness::try_evaluate_grid`], under
-    /// [`trace_cell_key`]'s `trace:`-prefixed namespace.
+    /// Fault-tolerant trace sweep, row-major (`traces[i]` × `kinds[j]` at
+    /// `i * kinds.len() + j`): each trace's no-prefetcher replay is the
+    /// baseline. Strict-policy decode errors surface as failures carrying
+    /// the typed error message (byte offset included); lenient traces
+    /// complete with their quarantine tallies in [`SimResult::ingest`].
     pub fn try_evaluate_trace_grid(
         &mut self,
         traces: &[TraceWorkload],
         kinds: &[PrefetcherKind],
-    ) -> TraceGridReport {
-        let scale = self.scale;
-        let telemetry = self.telemetry;
-        let throttle = self.throttle;
-        let deadline = self.cell_timeout;
-        let progress = self.progress;
-        let started = Instant::now();
-        let mut failures: Vec<TraceCellFailure> = Vec::new();
-        let mut checkpoint_hits = 0;
-
-        // Prime the per-trace baselines: checkpoint replay first, then one
-        // simulation per distinct trace key.
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, t) in traces.iter().enumerate() {
-            let key = t.key();
-            if self.trace_baselines.contains_key(&key)
-                || missing.iter().any(|&j| traces[j].key() == key)
-            {
-                continue;
-            }
-            if let Some(cp) = &self.checkpoint {
-                if let Some(result) = cp.get(&trace_cell_key(
-                    scale,
-                    &key,
-                    PrefetcherKind::None,
-                    telemetry,
-                    throttle,
-                )) {
-                    self.trace_baselines.insert(key, result);
-                    checkpoint_hits += 1;
-                    continue;
-                }
-            }
-            missing.push(i);
-        }
-        let outcomes = parallel_map(self.jobs, missing.len(), |j| {
-            timed_trace_cell(
-                &traces[missing[j]],
-                PrefetcherKind::None,
-                scale,
-                deadline,
-                telemetry,
-                throttle,
-                progress,
-            )
-        });
-        let mut failed_baselines: Vec<String> = Vec::new();
-        for (&i, outcome) in missing.iter().zip(outcomes) {
-            let t = &traces[i];
-            match outcome {
-                CellOutcome::Ok(result) => {
-                    self.record_trace_checkpoint(t, PrefetcherKind::None, &result);
-                    self.trace_baselines.insert(t.key(), *result);
-                }
-                failed => {
-                    failures.push(TraceCellFailure::new(t, PrefetcherKind::None, &failed));
-                    failed_baselines.push(t.key());
-                }
-            }
-        }
-
-        // The grid itself, row-major: traces[i] × kinds[j] at
-        // i * kinds.len() + j.
-        let cells: Vec<(usize, PrefetcherKind)> = (0..traces.len())
-            .flat_map(|i| kinds.iter().map(move |&k| (i, k)))
-            .collect();
-        let mut resolved: Vec<Option<CellOutcome>> = cells
+    ) -> GridReport {
+        let specs: Vec<CellSpec> = traces
             .iter()
-            .map(|&(i, k)| {
-                let t = &traces[i];
-                if failed_baselines.contains(&t.key()) {
-                    return Some(CellOutcome::Panicked {
-                        message: format!("not run: the {} no-prefetcher baseline failed", t.name()),
-                    });
-                }
-                if let Some(cp) = &self.checkpoint {
-                    if let Some(result) =
-                        cp.get(&trace_cell_key(scale, &t.key(), k, telemetry, throttle))
-                    {
-                        checkpoint_hits += 1;
-                        return Some(CellOutcome::Ok(Box::new(result)));
-                    }
-                }
-                None
+            .flat_map(|t| kinds.iter().map(|&k| self.spec(Cores::Trace(t.clone(), k))))
+            .collect();
+        self.evaluate_cells(&specs, Evaluation::derive)
+    }
+
+    /// Fault-tolerant multi-core mix sweep: the solo run of every core
+    /// slot is resolved first (once per unique slot assignment and
+    /// pressure across the whole grid), then each N-core mix, whose
+    /// [`FairnessReport`] derives from the mix result and its solos.
+    pub fn try_evaluate_mix_grid(&mut self, cells: &[MixCell]) -> GridReport<MixEvaluation> {
+        let specs: Vec<CellSpec> = cells
+            .iter()
+            .map(|c| CellSpec {
+                pressure: c.pressure,
+                ..self.spec(Cores::Mix(c.mix.clone(), c.cores))
             })
             .collect();
-        let todo: Vec<usize> = (0..cells.len())
-            .filter(|&i| resolved[i].is_none())
-            .collect();
-        let outcomes = parallel_map(self.jobs, todo.len(), |j| {
-            let (i, k) = cells[todo[j]];
-            timed_trace_cell(
-                &traces[i], k, scale, deadline, telemetry, throttle, progress,
-            )
-        });
-        for (&ci, outcome) in todo.iter().zip(outcomes) {
-            if let CellOutcome::Ok(result) = &outcome {
-                let (i, k) = cells[ci];
-                self.record_trace_checkpoint(&traces[i], k, result);
+        self.evaluate_cells(&specs, |spec, result, solos| {
+            let Cores::Mix(mix, cores) = &spec.cores else {
+                unreachable!("mix grids hold mix cells")
+            };
+            MixEvaluation {
+                mix_name: mix.name.clone(),
+                cores: *cores,
+                pressure: spec.pressure,
+                fairness: FairnessReport::compute(&result, &solos),
+                result,
             }
-            resolved[ci] = Some(outcome);
-        }
-        if progress && cells.len() > 1 {
-            eprintln!(
-                "[grid] {} trace cells in {:.1}s on {} worker(s)",
-                cells.len(),
-                started.elapsed().as_secs_f64(),
-                self.jobs.min(cells.len()),
-            );
-        }
+        })
+    }
 
-        let evaluations: Vec<Option<TraceEvaluation>> = cells
-            .iter()
-            .zip(resolved)
-            .map(|(&(i, kind), outcome)| {
-                let t = &traces[i];
-                let outcome = outcome.expect("every trace cell was resolved or run");
-                match outcome {
-                    CellOutcome::Ok(result) => {
-                        let baseline = self.trace_baselines[&t.key()].clone();
-                        let coverage = CoverageReport::from_runs(&result, &baseline);
-                        let speedup = result.speedup_over(&baseline);
-                        Some(TraceEvaluation {
-                            trace: t.name().to_string(),
-                            kind,
-                            coverage,
-                            speedup,
-                            result: *result,
-                            baseline,
-                        })
-                    }
-                    failed => {
-                        failures.push(TraceCellFailure::new(t, kind, &failed));
-                        None
-                    }
-                }
-            })
-            .collect();
-
-        if self.stats.is_some() {
-            let mut seen: Vec<String> = Vec::new();
-            for t in traces {
-                let key = t.key();
-                if !seen.contains(&key) && !failed_baselines.contains(&key) {
-                    if let Some(baseline) = self.trace_baselines.get(&key) {
-                        self.record_trace_stats(t, PrefetcherKind::None, baseline);
-                    }
-                    seen.push(key);
-                }
-            }
-            for (e, &(i, _)) in evaluations.iter().zip(&cells) {
-                if let Some(e) = e {
-                    self.record_trace_stats(&traces[i], e.kind, &e.result);
-                }
-            }
-        }
-        TraceGridReport {
-            evaluations,
-            failures,
-            checkpoint_hits,
-        }
+    /// Panicking convenience over
+    /// [`ParallelHarness::try_evaluate_mix_grid`], mirroring
+    /// [`ParallelHarness::evaluate_grid`].
+    pub fn evaluate_mix_grid(&mut self, cells: &[MixCell]) -> Vec<MixEvaluation> {
+        self.try_evaluate_mix_grid(cells).into_complete()
     }
 }
 
-/// The outcome of one prefetcher-on-workload evaluation.
+/// The outcome of one prefetcher-on-workload (or on-trace) evaluation.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
-    /// Workload evaluated.
-    pub workload: Workload,
+    /// Name of the workload evaluated, or of the replayed trace (its
+    /// capture directory name).
+    pub workload: String,
     /// Prefetcher evaluated.
     pub kind: PrefetcherKind,
     /// Coverage / overprediction / accuracy vs the baseline.
@@ -1562,23 +1213,69 @@ impl Evaluation {
     pub fn improvement(&self) -> f64 {
         self.speedup - 1.0
     }
+
+    /// Reads a classic or trace cell's result against its baseline.
+    fn derive(spec: &CellSpec, result: SimResult, mut refs: Vec<SimResult>) -> Evaluation {
+        let (workload, kind) = match &spec.cores {
+            Cores::Uniform(w, k) => (w.name().to_string(), *k),
+            Cores::Trace(t, k) => (t.name().to_string(), *k),
+            Cores::Mix(..) | Cores::Solo(..) => unreachable!("mix cells derive fairness"),
+        };
+        let baseline = refs.pop().expect("one baseline per cell");
+        Evaluation {
+            workload,
+            kind,
+            coverage: CoverageReport::from_runs(&result, &baseline),
+            speedup: result.speedup_over(&baseline),
+            result,
+            baseline,
+        }
+    }
 }
 
-/// One failed sweep cell: which cell, and why.
+/// One cell of a multi-core mix grid: a declared [`MixConfig`] run at
+/// `cores` cores under a memory-[`Pressure`] level. Core counts past the
+/// declared slots replicate the mix pattern cyclically (see
+/// [`MixConfig::assignment`]).
+#[derive(Debug, Clone)]
+pub struct MixCell {
+    /// The declared mix.
+    pub mix: MixConfig,
+    /// Core count of this cell's machine.
+    pub cores: usize,
+    /// Memory-pressure level applied to the shared resources.
+    pub pressure: Pressure,
+}
+
+/// The outcome of one completed mix cell.
+#[derive(Clone, Debug)]
+pub struct MixEvaluation {
+    /// Name of the evaluated mix.
+    pub mix_name: String,
+    /// Core count of the cell's machine.
+    pub cores: usize,
+    /// Pressure level of the cell.
+    pub pressure: Pressure,
+    /// Per-core fairness: IPCs, aggregate, min/max ratio, slowdowns
+    /// versus the solo runs.
+    pub fairness: FairnessReport,
+    /// The full mix run.
+    pub result: SimResult,
+}
+
+/// One failed sweep cell or reference run: which, and why.
 #[derive(Clone, Debug)]
 pub struct CellFailure {
-    /// Workload of the failed cell.
-    pub workload: Workload,
-    /// Prefetcher of the failed cell ([`PrefetcherKind::None`] for a
-    /// failed no-prefetcher baseline).
-    pub kind: PrefetcherKind,
+    /// The failed spec's [`CellSpec::label`], e.g. `em3d / Faulty@100`
+    /// or `solo c0=em3d+Bingo / none`.
+    pub label: String,
     /// Human-readable failure reason, including the panic message or the
     /// exceeded deadline.
     pub reason: String,
 }
 
 impl CellFailure {
-    fn new(workload: Workload, kind: PrefetcherKind, outcome: &CellOutcome) -> CellFailure {
+    fn new(spec: &CellSpec, outcome: &CellOutcome) -> CellFailure {
         let reason = match outcome {
             CellOutcome::Ok(_) => unreachable!("successful cells are not failures"),
             CellOutcome::Panicked { message } => format!("panicked: {message}"),
@@ -1587,8 +1284,7 @@ impl CellFailure {
             }
         };
         CellFailure {
-            workload,
-            kind,
+            label: spec.label(),
             reason,
         }
     }
@@ -1597,18 +1293,18 @@ impl CellFailure {
 /// The result of a fault-tolerant sweep: per-cell evaluations (in input
 /// order, `None` where the cell failed) plus the collected failures.
 #[derive(Debug)]
-pub struct GridReport {
+pub struct GridReport<E = Evaluation> {
     /// One slot per input cell, input order; `None` for failed cells.
-    pub evaluations: Vec<Option<Evaluation>>,
-    /// Every failed cell and failed baseline, in discovery order.
+    pub evaluations: Vec<Option<E>>,
+    /// Every failed cell and failed reference run, in discovery order.
     pub failures: Vec<CellFailure>,
-    /// Cells and baselines replayed from the checkpoint instead of
+    /// Cells and reference runs replayed from the checkpoint instead of
     /// simulated.
     pub checkpoint_hits: usize,
 }
 
-impl GridReport {
-    /// Whether every cell (and every baseline) completed.
+impl<E> GridReport<E> {
+    /// Whether every cell (and every reference run) completed.
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
     }
@@ -1618,31 +1314,8 @@ impl GridReport {
         self.evaluations.iter().filter(|e| e.is_some()).count()
     }
 
-    /// Requires every completed cell to have reported each named
-    /// prefetcher metric, turning the silent `None` of
-    /// [`SimResult::metric_sum`] into a listed [`CellFailure`]. A typo'd
-    /// or renamed metric therefore shows up by name in the failure report
-    /// (and fails [`GridReport::into_complete`]) instead of plotting as a
-    /// silent zero.
-    pub fn require_metrics(&mut self, names: &[&str]) {
-        for e in self.evaluations.iter().flatten() {
-            for &name in names {
-                if e.result.metric_sum(name).is_none() {
-                    self.failures.push(CellFailure {
-                        workload: e.workload,
-                        kind: e.kind,
-                        reason: format!(
-                            "metric {name:?} missing: {} reported no such metric",
-                            e.kind.name()
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
     /// The multi-line failure report: one line per failed cell with its
-    /// workload, prefetcher, and reason. Empty string when clean.
+    /// label and reason. Empty string when clean.
     pub fn failure_report(&self) -> String {
         if self.failures.is_empty() {
             return String::new();
@@ -1654,12 +1327,7 @@ impl GridReport {
             self.failures.len()
         );
         for f in &self.failures {
-            out.push_str(&format!(
-                "  {} / {}: {}\n",
-                f.workload.name(),
-                f.kind.name(),
-                f.reason
-            ));
+            out.push_str(&format!("  {}: {}\n", f.label, f.reason));
         }
         out
     }
@@ -1671,7 +1339,7 @@ impl GridReport {
     /// Panics — after printing the failure report to stderr — if any cell
     /// failed, turning a faulty sweep into a nonzero process exit *after*
     /// every healthy cell has completed and been checkpointed.
-    pub fn into_complete(self) -> Vec<Evaluation> {
+    pub fn into_complete(self) -> Vec<E> {
         if !self.failures.is_empty() {
             eprint!("{}", self.failure_report());
             panic!(
@@ -1686,130 +1354,27 @@ impl GridReport {
     }
 }
 
-/// The outcome of one prefetcher-on-captured-trace evaluation. The
-/// workload column is the trace's directory name (a string, not a
-/// [`Workload`] — a replayed capture needs no generator).
-#[derive(Clone, Debug)]
-pub struct TraceEvaluation {
-    /// Name of the replayed trace (its capture directory name).
-    pub trace: String,
-    /// Prefetcher evaluated.
-    pub kind: PrefetcherKind,
-    /// Coverage / overprediction / accuracy vs the trace's baseline.
-    pub coverage: CoverageReport,
-    /// Geometric-mean per-core speedup over the trace's baseline.
-    pub speedup: f64,
-    /// The prefetching replay (carries [`SimResult::ingest`]).
-    pub result: SimResult,
-    /// The no-prefetcher replay of the same trace.
-    pub baseline: SimResult,
-}
-
-impl TraceEvaluation {
-    /// Performance improvement as a fraction (paper's Fig. 8 metric).
-    pub fn improvement(&self) -> f64 {
-        self.speedup - 1.0
-    }
-}
-
-/// One failed trace-replay cell: which trace, which prefetcher, and why
-/// (for a corrupt strict trace the reason carries the typed decode error,
-/// byte offset included).
-#[derive(Clone, Debug)]
-pub struct TraceCellFailure {
-    /// Name of the trace of the failed cell.
-    pub trace: String,
-    /// Prefetcher of the failed cell ([`PrefetcherKind::None`] for a
-    /// failed baseline replay).
-    pub kind: PrefetcherKind,
-    /// Human-readable failure reason.
-    pub reason: String,
-}
-
-impl TraceCellFailure {
-    fn new(trace: &TraceWorkload, kind: PrefetcherKind, outcome: &CellOutcome) -> TraceCellFailure {
-        let reason = match outcome {
-            CellOutcome::Ok(_) => unreachable!("successful cells are not failures"),
-            CellOutcome::Panicked { message } => format!("panicked: {message}"),
-            CellOutcome::TimedOut { limit } => {
-                format!("timed out after {:.3}s", limit.as_secs_f64())
+impl GridReport<Evaluation> {
+    /// Requires every completed cell to have reported each named
+    /// prefetcher metric, turning the silent `None` of
+    /// [`SimResult::metric_sum`] into a listed [`CellFailure`]. A typo'd
+    /// or renamed metric therefore shows up by name in the failure report
+    /// (and fails [`GridReport::into_complete`]) instead of plotting as a
+    /// silent zero.
+    pub fn require_metrics(&mut self, names: &[&str]) {
+        for e in self.evaluations.iter().flatten() {
+            for &name in names {
+                if e.result.metric_sum(name).is_none() {
+                    self.failures.push(CellFailure {
+                        label: format!("{} / {}", e.workload, e.kind.name()),
+                        reason: format!(
+                            "metric {name:?} missing: {} reported no such metric",
+                            e.kind.name()
+                        ),
+                    });
+                }
             }
-        };
-        TraceCellFailure {
-            trace: trace.name().to_string(),
-            kind,
-            reason,
         }
-    }
-}
-
-/// The result of a fault-tolerant trace sweep, mirroring [`GridReport`]:
-/// per-cell evaluations in row-major input order (`None` where the cell
-/// failed) plus the collected failures.
-#[derive(Debug)]
-pub struct TraceGridReport {
-    /// One slot per (trace × kind) cell, row-major; `None` for failures.
-    pub evaluations: Vec<Option<TraceEvaluation>>,
-    /// Every failed cell and failed baseline, in discovery order.
-    pub failures: Vec<TraceCellFailure>,
-    /// Cells and baselines replayed from the checkpoint instead of
-    /// simulated.
-    pub checkpoint_hits: usize,
-}
-
-impl TraceGridReport {
-    /// Whether every cell (and every baseline) completed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Number of cells that produced an evaluation.
-    pub fn completed(&self) -> usize {
-        self.evaluations.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// The multi-line failure report: one line per failed cell with its
-    /// trace, prefetcher, and reason. Empty string when clean.
-    pub fn failure_report(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let mut out = format!(
-            "FAILURE REPORT: {} of {} trace cell(s) completed, {} failure(s)\n",
-            self.completed(),
-            self.evaluations.len(),
-            self.failures.len()
-        );
-        for f in &self.failures {
-            out.push_str(&format!(
-                "  {} / {}: {}\n",
-                f.trace,
-                f.kind.name(),
-                f.reason
-            ));
-        }
-        out
-    }
-
-    /// Unwraps a clean report into its evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics — after printing the failure report to stderr — if any cell
-    /// failed, after every healthy cell has completed and been
-    /// checkpointed.
-    pub fn into_complete(self) -> Vec<TraceEvaluation> {
-        if !self.failures.is_empty() {
-            eprint!("{}", self.failure_report());
-            panic!(
-                "{} trace sweep cell(s) failed; see the failure report above",
-                self.failures.len()
-            );
-        }
-        self.evaluations
-            .into_iter()
-            .map(|e| e.expect("clean reports have every evaluation"))
-            .collect()
     }
 }
 
@@ -1832,661 +1397,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 pub fn mean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "mean of empty slice");
     values.iter().sum::<f64>() / values.len() as f64
-}
-
-// ---------------------------------------------------------------------------
-// Multi-core mix cells
-// ---------------------------------------------------------------------------
-
-/// One cell of a multi-core mix grid: a declared [`MixConfig`] run at
-/// `cores` cores under a memory-[`Pressure`] level. Core counts past the
-/// declared slots replicate the mix pattern cyclically (see
-/// [`MixConfig::assignment`]).
-#[derive(Debug, Clone)]
-pub struct MixCell {
-    /// The declared mix.
-    pub mix: MixConfig,
-    /// Core count of this cell's machine.
-    pub cores: usize,
-    /// Memory-pressure level applied to the shared resources.
-    pub pressure: Pressure,
-}
-
-/// Runs one declared mix on an N-core machine: per-core instruction
-/// sources, prefetcher instances, and committed-instruction targets all
-/// come from the mix's per-slot assignments, while the LLC, MSHR pool,
-/// and DRAM channels stay at the paper machine's shared sizing (under
-/// the given [`Pressure`]). A homogeneous mix at the paper's core count,
-/// scale 100 %, and [`Pressure::NONE`] is bit-for-bit
-/// [`run_one_configured`] by construction: identical sources, identical
-/// per-core prefetchers, uniform targets.
-///
-/// # Errors
-///
-/// [`SimAbort`] if the optional deadline expires or the simulator trips
-/// its internal cycle limit.
-pub fn run_mix_configured(
-    mix: &MixConfig,
-    cores: usize,
-    pressure: &Pressure,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> Result<SimResult, SimAbort> {
-    assert!(cores > 0, "a mix machine needs at least one core");
-    let mut cfg = SystemConfig::paper().with_cores(cores);
-    pressure.apply(&mut cfg);
-    let sources = (0..cores)
-        .map(|i| mix.assignment(i).workload.source_for_core(i, scale.seed))
-        .collect();
-    let prefetchers = (0..cores)
-        .map(|i| mix.assignment(i).prefetcher.build())
-        .collect();
-    let targets: Vec<u64> = (0..cores)
-        .map(|i| mix.assignment(i).instructions(scale.instructions_per_core))
-        .collect();
-    let mut system = System::new_heterogeneous(cfg, sources, prefetchers, &targets)
-        .with_warmup(scale.warmup_per_core)
-        .with_telemetry(telemetry)
-        .with_throttle(throttle);
-    if let Some(limit) = deadline {
-        system = system.with_time_limit(limit);
-    }
-    system.try_run()
-}
-
-/// [`run_mix_configured`] with the QoS extensions: an explicit
-/// starvation-SLO override for [`ThrottleMode::Percore`] (falling back
-/// to [`bingo_sim::DEFAULT_QOS_SLO`] when `None`) and an optional
-/// [`ChaosInjector`] perturbing the live run. A `None`/`None` call is
-/// bit-for-bit [`run_mix_configured`]: the config field stays at its
-/// default and no injector is attached.
-///
-/// # Errors
-///
-/// Same as [`run_mix_configured`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_mix_qos(
-    mix: &MixConfig,
-    cores: usize,
-    pressure: &Pressure,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    throttle: ThrottleMode,
-    qos_slo: Option<f64>,
-    chaos: Option<ChaosInjector>,
-) -> Result<SimResult, SimAbort> {
-    assert!(cores > 0, "a mix machine needs at least one core");
-    let mut cfg = SystemConfig::paper().with_cores(cores);
-    pressure.apply(&mut cfg);
-    cfg.qos_slo = qos_slo;
-    let sources = (0..cores)
-        .map(|i| mix.assignment(i).workload.source_for_core(i, scale.seed))
-        .collect();
-    let prefetchers = (0..cores)
-        .map(|i| mix.assignment(i).prefetcher.build())
-        .collect();
-    let targets: Vec<u64> = (0..cores)
-        .map(|i| mix.assignment(i).instructions(scale.instructions_per_core))
-        .collect();
-    let mut system = System::new_heterogeneous(cfg, sources, prefetchers, &targets)
-        .with_warmup(scale.warmup_per_core)
-        .with_throttle(throttle);
-    if let Some(injector) = chaos {
-        system = system.with_chaos(injector);
-    }
-    if let Some(limit) = deadline {
-        system = system.with_time_limit(limit);
-    }
-    system.try_run()
-}
-
-/// Runs one mix slot *alone*: the identical instruction stream (same
-/// slot index, so same seed and address space), prefetcher, and
-/// instruction target as in the mix, but on a 1-core machine with the
-/// whole shared memory system — same pressure level — to itself. The
-/// fairness report's per-core slowdown is the ratio of this run's IPC to
-/// the slot's IPC inside the mix.
-///
-/// # Errors
-///
-/// Same as [`run_mix_configured`].
-pub fn run_mix_solo_configured(
-    assignment: MixAssignment,
-    slot: usize,
-    pressure: &Pressure,
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> Result<SimResult, SimAbort> {
-    let mut cfg = SystemConfig::paper().with_cores(1);
-    pressure.apply(&mut cfg);
-    let sources = vec![assignment.workload.source_for_core(slot, scale.seed)];
-    let prefetchers = vec![assignment.prefetcher.build()];
-    let targets = [assignment.instructions(scale.instructions_per_core)];
-    let mut system = System::new_heterogeneous(cfg, sources, prefetchers, &targets)
-        .with_warmup(scale.warmup_per_core)
-        .with_telemetry(telemetry)
-        .with_throttle(throttle);
-    if let Some(limit) = deadline {
-        system = system.with_time_limit(limit);
-    }
-    system.try_run()
-}
-
-/// Applies the mix-key namespacing suffixes shared by [`mix_cell_key`]
-/// and [`mix_solo_key`]: [`Pressure::NONE`], [`TelemetryLevel::Off`],
-/// and [`ThrottleMode::Off`] each contribute nothing, so default-mode
-/// keys stay byte-for-byte stable across option additions — the same
-/// rule [`cell_key_with_options`] follows.
-fn decorate_mix_key(
-    base: String,
-    pressure: &Pressure,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> String {
-    let base = format!("{base}{}", pressure.key_suffix());
-    let base = match telemetry {
-        TelemetryLevel::Off => base,
-        TelemetryLevel::Counts => format!("{base}/telemetry=counts"),
-        TelemetryLevel::Trace => format!("{base}/telemetry=trace"),
-    };
-    match throttle {
-        ThrottleMode::Off => base,
-        ThrottleMode::Static | ThrottleMode::Feedback | ThrottleMode::Percore => {
-            format!("{base}/throttle={throttle}")
-        }
-    }
-}
-
-/// Checkpoint/stats key of one mix cell. The key embeds both the mix's
-/// name and its full slot spec, so renaming a mix *or* editing its
-/// assignments invalidates old checkpoint entries; it lives in the
-/// `mix:` namespace, disjoint from single-workload (`{seed}/…`) and
-/// trace (`trace:…`) keys, so mixed old/new checkpoint files resolve
-/// every generation of cell correctly.
-pub fn mix_cell_key(
-    scale: RunScale,
-    mix: &MixConfig,
-    cores: usize,
-    pressure: &Pressure,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> String {
-    let base = format!(
-        "mix:{}/{}/{}/{}@{}/{}",
-        scale.seed,
-        scale.instructions_per_core,
-        scale.warmup_per_core,
-        mix.name,
-        cores,
-        mix.spec()
-    );
-    decorate_mix_key(base, pressure, telemetry, throttle)
-}
-
-/// Checkpoint/stats key of one solo run. Deliberately *not* namespaced
-/// by mix name: a solo run depends only on the slot assignment, so two
-/// mixes sharing a slot share the solo simulation and its checkpoint
-/// entry.
-pub fn mix_solo_key(
-    scale: RunScale,
-    slot: usize,
-    assignment: &MixAssignment,
-    pressure: &Pressure,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-) -> String {
-    let base = format!(
-        "mix-solo:{}/{}/{}/{}",
-        scale.seed,
-        scale.instructions_per_core,
-        scale.warmup_per_core,
-        assignment.slot_spec(slot)
-    );
-    decorate_mix_key(base, pressure, telemetry, throttle)
-}
-
-/// The harness run settings shared by every cell of one mix sweep.
-#[derive(Clone, Copy)]
-struct MixRunSettings {
-    scale: RunScale,
-    deadline: Option<Duration>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
-    progress: bool,
-}
-
-/// [`run_mix_configured`] with panic isolation: every failure mode comes
-/// back as a [`CellOutcome`], with an optional `[cell]` progress line.
-fn timed_mix_cell(
-    mix: &MixConfig,
-    cores: usize,
-    pressure: &Pressure,
-    s: MixRunSettings,
-) -> CellOutcome {
-    let label = format!("{}@{}", mix.name, cores);
-    guarded_mix_cell(&label, pressure.name, s.progress, || {
-        run_mix_configured(
-            mix,
-            cores,
-            pressure,
-            s.scale,
-            s.deadline,
-            s.telemetry,
-            s.throttle,
-        )
-    })
-}
-
-/// [`run_mix_solo_configured`] with panic isolation and the same
-/// progress-line format as [`timed_mix_cell`].
-fn timed_mix_solo_cell(
-    assignment: MixAssignment,
-    slot: usize,
-    pressure: &Pressure,
-    s: MixRunSettings,
-) -> CellOutcome {
-    let label = format!("solo:{}", assignment.slot_spec(slot));
-    guarded_mix_cell(&label, pressure.name, s.progress, || {
-        run_mix_solo_configured(
-            assignment,
-            slot,
-            pressure,
-            s.scale,
-            s.deadline,
-            s.telemetry,
-            s.throttle,
-        )
-    })
-}
-
-/// The shared panic-isolation + progress core of the mix cell runners.
-fn guarded_mix_cell(
-    label: &str,
-    pressure: &str,
-    progress: bool,
-    run: impl FnOnce() -> Result<SimResult, SimAbort>,
-) -> CellOutcome {
-    let start = Instant::now();
-    let attempt = catch_unwind(AssertUnwindSafe(run));
-    let outcome = match attempt {
-        Ok(Ok(result)) => CellOutcome::Ok(Box::new(result)),
-        Ok(Err(SimAbort::DeadlineExceeded { limit })) => CellOutcome::TimedOut { limit },
-        Ok(Err(abort @ SimAbort::CycleLimit { .. })) => CellOutcome::Panicked {
-            message: abort.to_string(),
-        },
-        Err(payload) => CellOutcome::Panicked {
-            message: panic_message(payload.as_ref()),
-        },
-    };
-    if progress {
-        let wall = start.elapsed().as_secs_f64();
-        let status = match &outcome {
-            CellOutcome::Ok(result) => format!(
-                "{:>6.2} Minstr/s",
-                result.instructions() as f64 / wall.max(1e-9) / 1e6
-            ),
-            CellOutcome::Panicked { .. } => "PANICKED".to_string(),
-            CellOutcome::TimedOut { .. } => "TIMED OUT".to_string(),
-        };
-        eprintln!("[cell] {label:<28} {pressure:<14} {wall:>7.2}s  {status}");
-    }
-    outcome
-}
-
-/// The outcome of one completed mix cell.
-#[derive(Clone, Debug)]
-pub struct MixEvaluation {
-    /// Name of the evaluated mix.
-    pub mix_name: String,
-    /// Core count of the cell's machine.
-    pub cores: usize,
-    /// Pressure level of the cell.
-    pub pressure: Pressure,
-    /// Per-core fairness: IPCs, aggregate, min/max ratio, slowdowns
-    /// versus the solo runs.
-    pub fairness: FairnessReport,
-    /// The full mix run.
-    pub result: SimResult,
-}
-
-/// One failed mix cell or solo run: which, and why.
-#[derive(Clone, Debug)]
-pub struct MixCellFailure {
-    /// Name of the mix (for a solo failure: the mix(es) needing it are
-    /// not listed; the slot spec below identifies the run).
-    pub mix_name: String,
-    /// Core count of the failed cell; for a solo failure, 1.
-    pub cores: usize,
-    /// Pressure level name.
-    pub pressure: &'static str,
-    /// `Some(slot spec)` when the failure was a solo run.
-    pub solo: Option<String>,
-    /// Human-readable failure reason.
-    pub reason: String,
-}
-
-/// The result of a fault-tolerant mix sweep, mirroring [`GridReport`]:
-/// per-cell evaluations in input order (`None` where the cell or one of
-/// its solos failed) plus the collected failures.
-#[derive(Debug)]
-pub struct MixGridReport {
-    /// One slot per input cell, input order; `None` for failed cells.
-    pub evaluations: Vec<Option<MixEvaluation>>,
-    /// Every failed mix cell and solo run, in discovery order.
-    pub failures: Vec<MixCellFailure>,
-    /// Cells and solos replayed from the checkpoint instead of
-    /// simulated.
-    pub checkpoint_hits: usize,
-}
-
-impl MixGridReport {
-    /// Whether every cell (and every solo) completed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Number of cells that produced an evaluation.
-    pub fn completed(&self) -> usize {
-        self.evaluations.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// The multi-line failure report; empty string when clean.
-    pub fn failure_report(&self) -> String {
-        if self.failures.is_empty() {
-            return String::new();
-        }
-        let mut out = format!(
-            "FAILURE REPORT: {} of {} mix cell(s) completed, {} failure(s)\n",
-            self.completed(),
-            self.evaluations.len(),
-            self.failures.len()
-        );
-        for f in &self.failures {
-            let what = match &f.solo {
-                Some(spec) => format!("solo {spec}"),
-                None => format!("{}@{}", f.mix_name, f.cores),
-            };
-            out.push_str(&format!("  {what} / {}: {}\n", f.pressure, f.reason));
-        }
-        out
-    }
-
-    /// Unwraps a clean report into its evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics — after printing the failure report to stderr — if any cell
-    /// or solo failed, after every healthy cell has completed and been
-    /// checkpointed (the same contract as [`GridReport::into_complete`]).
-    pub fn into_complete(self) -> Vec<MixEvaluation> {
-        if !self.failures.is_empty() {
-            eprint!("{}", self.failure_report());
-            panic!(
-                "{} mix cell(s) failed; see the failure report above",
-                self.failures.len()
-            );
-        }
-        self.evaluations
-            .into_iter()
-            .map(|e| e.expect("clean reports have every evaluation"))
-            .collect()
-    }
-}
-
-impl ParallelHarness {
-    /// Fault-tolerant multi-core mix sweep. For every cell the harness
-    /// first ensures the solo run of each core slot exists (computed once
-    /// per unique `(slot assignment, pressure)` across the whole grid,
-    /// checkpoint-replayed when possible), then runs the N-core mix, and
-    /// finally derives the cell's [`FairnessReport`] from the mix result
-    /// and its solos. Mix cells use `mix:`-namespaced checkpoint/stats
-    /// keys, solos `mix-solo:` — both disjoint from the single-workload
-    /// and trace namespaces, so one checkpoint file can carry all three
-    /// generations of cell and a mixed old/new file retries only what is
-    /// actually missing.
-    pub fn try_evaluate_mix_grid(&mut self, cells: &[MixCell]) -> MixGridReport {
-        let scale = self.scale;
-        let telemetry = self.telemetry;
-        let throttle = self.throttle;
-        let settings = MixRunSettings {
-            scale,
-            deadline: self.cell_timeout,
-            telemetry,
-            throttle,
-            progress: self.progress,
-        };
-        let started = Instant::now();
-        let mut failures: Vec<MixCellFailure> = Vec::new();
-        let mut checkpoint_hits = 0;
-
-        // Every unique solo run the grid needs, in first-need order.
-        let mut solo_keys: Vec<String> = Vec::new();
-        let mut solo_specs: Vec<(MixAssignment, usize, Pressure)> = Vec::new();
-        for cell in cells {
-            for slot in 0..cell.cores {
-                let a = cell.mix.assignment(slot);
-                let key = mix_solo_key(scale, slot, &a, &cell.pressure, telemetry, throttle);
-                if !solo_keys.contains(&key) {
-                    solo_keys.push(key);
-                    solo_specs.push((a, slot, cell.pressure));
-                }
-            }
-        }
-
-        // Resolve solos: cache, then checkpoint, then simulation.
-        let todo: Vec<usize> = (0..solo_keys.len())
-            .filter(|&i| {
-                let key = &solo_keys[i];
-                if self.mix_solos.contains_key(key) {
-                    return false;
-                }
-                if let Some(cp) = &self.checkpoint {
-                    if let Some(result) = cp.get(key) {
-                        self.mix_solos.insert(key.clone(), result);
-                        checkpoint_hits += 1;
-                        return false;
-                    }
-                }
-                true
-            })
-            .collect();
-        let outcomes = parallel_map(self.jobs, todo.len(), |j| {
-            let (a, slot, pressure) = solo_specs[todo[j]];
-            timed_mix_solo_cell(a, slot, &pressure, settings)
-        });
-        for (&i, outcome) in todo.iter().zip(outcomes) {
-            let key = &solo_keys[i];
-            match outcome {
-                CellOutcome::Ok(result) => {
-                    self.record_mix_checkpoint(key, &result);
-                    self.mix_solos.insert(key.clone(), *result);
-                }
-                failed => {
-                    let (a, slot, pressure) = &solo_specs[i];
-                    failures.push(MixCellFailure {
-                        mix_name: String::new(),
-                        cores: 1,
-                        pressure: pressure.name,
-                        solo: Some(a.slot_spec(*slot)),
-                        reason: failure_reason(&failed),
-                    });
-                }
-            }
-        }
-
-        // Export every resolved solo (checkpoint replays included, so the
-        // export is always the complete grid; the export dedups keys).
-        if self.stats.is_some() {
-            for key in &solo_keys {
-                if let Some(result) = self.mix_solos.get(key) {
-                    self.record_mix_stats(key, result);
-                }
-            }
-        }
-
-        // Run the mix cells whose solos all resolved.
-        let mut resolved: Vec<Option<CellOutcome>> = cells
-            .iter()
-            .map(|cell| {
-                let missing_solo = (0..cell.cores).find(|&slot| {
-                    let a = cell.mix.assignment(slot);
-                    let key = mix_solo_key(scale, slot, &a, &cell.pressure, telemetry, throttle);
-                    !self.mix_solos.contains_key(&key)
-                });
-                if let Some(slot) = missing_solo {
-                    return Some(CellOutcome::Panicked {
-                        message: format!("not run: the solo run of core slot {slot} failed"),
-                    });
-                }
-                if let Some(cp) = &self.checkpoint {
-                    let key = mix_cell_key(
-                        scale,
-                        &cell.mix,
-                        cell.cores,
-                        &cell.pressure,
-                        telemetry,
-                        throttle,
-                    );
-                    if let Some(result) = cp.get(&key) {
-                        checkpoint_hits += 1;
-                        return Some(CellOutcome::Ok(Box::new(result)));
-                    }
-                }
-                None
-            })
-            .collect();
-        let todo: Vec<usize> = (0..cells.len())
-            .filter(|&i| resolved[i].is_none())
-            .collect();
-        let outcomes = parallel_map(self.jobs, todo.len(), |j| {
-            let cell = &cells[todo[j]];
-            timed_mix_cell(&cell.mix, cell.cores, &cell.pressure, settings)
-        });
-        for (&i, outcome) in todo.iter().zip(outcomes) {
-            if let CellOutcome::Ok(result) = &outcome {
-                let cell = &cells[i];
-                let key = mix_cell_key(
-                    scale,
-                    &cell.mix,
-                    cell.cores,
-                    &cell.pressure,
-                    telemetry,
-                    throttle,
-                );
-                self.record_mix_checkpoint(&key, result);
-            }
-            resolved[i] = Some(outcome);
-        }
-        if settings.progress && cells.len() > 1 {
-            eprintln!(
-                "[mix-grid] {} cells in {:.1}s on {} worker(s)",
-                cells.len(),
-                started.elapsed().as_secs_f64(),
-                self.jobs.min(cells.len()),
-            );
-        }
-
-        // Derive fairness and assemble the report.
-        let evaluations: Vec<Option<MixEvaluation>> = cells
-            .iter()
-            .zip(resolved)
-            .map(|(cell, outcome)| {
-                let outcome = outcome.expect("every mix cell was resolved or run");
-                match outcome {
-                    CellOutcome::Ok(result) => {
-                        let key = mix_cell_key(
-                            scale,
-                            &cell.mix,
-                            cell.cores,
-                            &cell.pressure,
-                            telemetry,
-                            throttle,
-                        );
-                        self.record_mix_stats(&key, &result);
-                        let solos: Vec<SimResult> = (0..cell.cores)
-                            .map(|slot| {
-                                let a = cell.mix.assignment(slot);
-                                let key = mix_solo_key(
-                                    scale,
-                                    slot,
-                                    &a,
-                                    &cell.pressure,
-                                    telemetry,
-                                    throttle,
-                                );
-                                self.mix_solos[&key].clone()
-                            })
-                            .collect();
-                        let fairness = FairnessReport::compute(&result, &solos);
-                        Some(MixEvaluation {
-                            mix_name: cell.mix.name.clone(),
-                            cores: cell.cores,
-                            pressure: cell.pressure,
-                            fairness,
-                            result: *result,
-                        })
-                    }
-                    failed => {
-                        failures.push(MixCellFailure {
-                            mix_name: cell.mix.name.clone(),
-                            cores: cell.cores,
-                            pressure: cell.pressure.name,
-                            solo: None,
-                            reason: failure_reason(&failed),
-                        });
-                        None
-                    }
-                }
-            })
-            .collect();
-        MixGridReport {
-            evaluations,
-            failures,
-            checkpoint_hits,
-        }
-    }
-
-    /// Panicking convenience over
-    /// [`ParallelHarness::try_evaluate_mix_grid`], mirroring
-    /// [`ParallelHarness::evaluate_grid`].
-    pub fn evaluate_mix_grid(&mut self, cells: &[MixCell]) -> Vec<MixEvaluation> {
-        self.try_evaluate_mix_grid(cells).into_complete()
-    }
-
-    /// Appends a mix-namespaced result to the checkpoint, if one is
-    /// attached. Write errors degrade the checkpoint, never the sweep.
-    fn record_mix_checkpoint(&self, key: &str, result: &SimResult) {
-        if let Some(cp) = &self.checkpoint {
-            if let Err(e) = cp.record(key, result) {
-                eprintln!("[checkpoint] write for {key} failed: {e}");
-            }
-        }
-    }
-
-    /// Appends a mix-namespaced result to the stats export, if one is
-    /// attached. Write errors degrade the export, never the sweep.
-    fn record_mix_stats(&self, key: &str, result: &SimResult) {
-        if let Some(stats) = &self.stats {
-            if let Err(e) = stats.record(key, result) {
-                eprintln!("[stats] write for {key} failed: {e}");
-            }
-        }
-    }
-}
-
-/// The human-readable reason of a failed [`CellOutcome`].
-fn failure_reason(outcome: &CellOutcome) -> String {
-    match outcome {
-        CellOutcome::Ok(_) => unreachable!("successful cells are not failures"),
-        CellOutcome::Panicked { message } => format!("panicked: {message}"),
-        CellOutcome::TimedOut { limit } => {
-            format!("timed out after {:.3}s", limit.as_secs_f64())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2625,11 +1535,11 @@ mod tests {
         assert_eq!(parallel_map(4, 0, |i| i), Vec::<usize>::new());
     }
 
-    /// The acceptance test of the parallel harness: identical
-    /// [`SimResult`]s (speedups, coverage, miss counts) to the serial
-    /// [`Harness`] on a 3 × 3 grid, independent of scheduling.
+    /// The determinism acceptance test: identical results (speedups,
+    /// coverage, miss counts) inline at one worker and interleaved on
+    /// three, on a 3 × 3 grid.
     #[test]
-    fn parallel_matches_serial_bit_for_bit() {
+    fn results_do_not_depend_on_the_worker_count() {
         let scale = RunScale {
             instructions_per_core: 20_000,
             warmup_per_core: 10_000,
@@ -2641,38 +1551,23 @@ mod tests {
             PrefetcherKind::Bop,
             PrefetcherKind::Sms,
         ];
-        let cells: Vec<(Workload, PrefetcherKind)> = workloads
-            .iter()
-            .flat_map(|&w| kinds.iter().map(move |&k| (w, k)))
-            .collect();
-        let mut parallel = ParallelHarness::with_jobs(scale, 4).quiet();
-        let par = parallel.evaluate_grid(&cells);
-        let mut serial = Harness::new(scale);
-        for (&(w, k), pe) in cells.iter().zip(&par) {
-            let se = serial.evaluate(w, k);
-            assert_eq!(pe.workload, w);
-            assert_eq!(pe.kind, k);
-            assert_eq!(se.result, pe.result, "{w} / {}: result differs", k.name());
-            assert_eq!(
-                se.baseline,
-                pe.baseline,
-                "{w} / {}: baseline differs",
-                k.name()
-            );
+        let serial = ParallelHarness::with_jobs(scale, 1)
+            .quiet()
+            .evaluate_all(&workloads, &kinds);
+        let parallel = ParallelHarness::with_jobs(scale, 3)
+            .quiet()
+            .evaluate_all(&workloads, &kinds);
+        for (se, pe) in serial.iter().zip(&parallel) {
+            let what = format!("{} / {}", se.workload, se.kind.name());
+            assert_eq!((&se.workload, se.kind), (&pe.workload, pe.kind));
+            assert_eq!(se.result, pe.result, "{what}: result differs");
+            assert_eq!(se.baseline, pe.baseline, "{what}: baseline differs");
             assert_eq!(
                 se.speedup.to_bits(),
                 pe.speedup.to_bits(),
-                "{w} / {}: speedup differs ({} vs {})",
-                k.name(),
-                se.speedup,
-                pe.speedup
+                "{what}: speedup differs"
             );
-            assert_eq!(
-                se.coverage,
-                pe.coverage,
-                "{w} / {}: coverage report differs",
-                k.name()
-            );
+            assert_eq!(se.coverage, pe.coverage, "{what}: coverage differs");
         }
     }
 
@@ -2705,8 +1600,7 @@ mod tests {
         assert_eq!(report.completed(), 2);
         assert_eq!(report.failures.len(), 1);
         let failure = &report.failures[0];
-        assert_eq!(failure.workload, Workload::Em3d);
-        assert_eq!(failure.kind, faulty);
+        assert_eq!(failure.label, "em3d / Faulty@100");
         assert!(
             failure
                 .reason
@@ -2750,7 +1644,7 @@ mod tests {
         let baseline_failure = report
             .failures
             .iter()
-            .find(|f| f.kind == PrefetcherKind::None)
+            .find(|f| f.label == "em3d / None")
             .expect("the no-prefetcher baseline timed out");
         assert!(
             baseline_failure.reason.contains("timed out"),
@@ -2761,10 +1655,12 @@ mod tests {
         let cell_failure = report
             .failures
             .iter()
-            .find(|f| f.kind == PrefetcherKind::NextLine(1))
+            .find(|f| f.label == "em3d / NextLine-1")
             .expect("the dependent cell is reported too");
         assert!(
-            cell_failure.reason.contains("baseline failed"),
+            cell_failure
+                .reason
+                .contains("its reference run em3d / None failed"),
             "got: {}",
             cell_failure.reason
         );
@@ -2789,14 +1685,15 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_reports_panics_as_outcomes() {
-        let outcome = run_cell(
-            Workload::Streaming,
-            PrefetcherKind::Faulty { panic_after: 0 },
+    fn run_isolated_reports_panics_as_outcomes() {
+        let spec = CellSpec::new(
+            Cores::Uniform(
+                Workload::Streaming,
+                PrefetcherKind::Faulty { panic_after: 0 },
+            ),
             tiny_scale(15),
-            None,
         );
-        match outcome {
+        match spec.run_isolated(false) {
             CellOutcome::Panicked { message } => {
                 assert!(message.contains("FaultyPrefetcher panicked deliberately"));
             }
@@ -2804,104 +1701,79 @@ mod tests {
         }
     }
 
+    /// The key strings of every namespace, byte for byte: they name the
+    /// lines of existing checkpoint files (`tests/runner_resume.rs` locks
+    /// them against a committed file as well).
     #[test]
-    fn cell_keys_separate_every_dimension() {
-        let base = cell_key(tiny_scale(1), Workload::Em3d, PrefetcherKind::Bingo);
+    fn keys_reproduce_every_namespace() {
+        let scale = tiny_scale(7);
+        let spec = |cores| CellSpec::new(cores, scale);
+        let bingo = Cores::Uniform(Workload::Em3d, PrefetcherKind::Bingo);
+        assert_eq!(
+            spec(bingo.clone()).key().unwrap(),
+            "7/15000/5000/Em3d/Bingo"
+        );
+        let both = CellSpec {
+            telemetry: TelemetryLevel::Counts,
+            throttle: ThrottleMode::Feedback,
+            ..spec(bingo.clone())
+        };
+        assert_eq!(
+            both.key().unwrap(),
+            "7/15000/5000/Em3d/Bingo/telemetry=counts/throttle=feedback"
+        );
+        let mix = tiny_mix();
+        let pressured = CellSpec {
+            pressure: Pressure::SCARCE,
+            telemetry: TelemetryLevel::Counts,
+            throttle: ThrottleMode::Feedback,
+            ..spec(Cores::Mix(mix.clone(), 2))
+        };
+        assert_eq!(
+            spec(Cores::Mix(mix.clone(), 2)).key().unwrap(),
+            "mix:7/15000/5000/tiny@2/c0=streaming+Stride,c1=stress-storm+None*50%"
+        );
+        assert!(pressured
+            .key()
+            .unwrap()
+            .ends_with("/pressure=scarce/telemetry=counts/throttle=feedback"));
+        assert_eq!(
+            spec(Cores::Solo(mix.cores[1], 1)).key().unwrap(),
+            "mix-solo:7/15000/5000/c1=stress-storm+None*50%"
+        );
+        // Every dimension separates classic keys.
+        let base = spec(bingo.clone()).key();
         for other in [
-            cell_key(tiny_scale(2), Workload::Em3d, PrefetcherKind::Bingo),
-            cell_key(tiny_scale(1), Workload::Streaming, PrefetcherKind::Bingo),
-            cell_key(tiny_scale(1), Workload::Em3d, PrefetcherKind::Bop),
-            cell_key(
-                RunScale {
-                    instructions_per_core: 1,
-                    ..tiny_scale(1)
-                },
-                Workload::Em3d,
-                PrefetcherKind::Bingo,
-            ),
+            CellSpec::new(bingo.clone(), tiny_scale(8)),
+            spec(Cores::Uniform(Workload::Streaming, PrefetcherKind::Bingo)),
+            spec(Cores::Uniform(Workload::Em3d, PrefetcherKind::Bop)),
+            CellSpec {
+                throttle: ThrottleMode::Static,
+                ..spec(bingo.clone())
+            },
+            CellSpec {
+                telemetry: TelemetryLevel::Trace,
+                ..spec(bingo.clone())
+            },
         ] {
-            assert_ne!(base, other);
+            assert_ne!(base, other.key());
         }
+        // Chaos and SLO-override runs have no key form at all.
+        let chaotic = CellSpec {
+            chaos: Some(ChaosPlan::standard(1)),
+            ..spec(bingo.clone())
+        };
+        let slo = CellSpec {
+            qos_slo: Some(0.5),
+            ..spec(bingo)
+        };
+        assert_eq!((chaotic.key(), slo.key()), (None, None));
     }
 
-    #[test]
-    fn trace_cell_keys_namespace_every_dimension() {
-        let scale = tiny_scale(1);
-        let base = trace_cell_key(
-            scale,
-            "/tmp/t/streaming",
-            PrefetcherKind::Bingo,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        );
-        assert!(
-            base.starts_with("trace:"),
-            "trace cells live in their own checkpoint namespace: {base}"
-        );
-        // The seed is deliberately absent: a replayed stream is fully
-        // determined by the recorded bytes.
-        let reseeded = trace_cell_key(
-            tiny_scale(2),
-            "/tmp/t/streaming",
-            PrefetcherKind::Bingo,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        );
-        assert_eq!(base, reseeded, "seed must not split trace checkpoints");
-        for other in [
-            trace_cell_key(
-                scale,
-                "/tmp/t/em3d",
-                PrefetcherKind::Bingo,
-                TelemetryLevel::Off,
-                ThrottleMode::Off,
-            ),
-            trace_cell_key(
-                scale,
-                "/tmp/t/streaming?policy=lenient",
-                PrefetcherKind::Bingo,
-                TelemetryLevel::Off,
-                ThrottleMode::Off,
-            ),
-            trace_cell_key(
-                scale,
-                "/tmp/t/streaming",
-                PrefetcherKind::Bop,
-                TelemetryLevel::Off,
-                ThrottleMode::Off,
-            ),
-            trace_cell_key(
-                RunScale {
-                    instructions_per_core: 1,
-                    ..scale
-                },
-                "/tmp/t/streaming",
-                PrefetcherKind::Bingo,
-                TelemetryLevel::Off,
-                ThrottleMode::Off,
-            ),
-            trace_cell_key(
-                scale,
-                "/tmp/t/streaming",
-                PrefetcherKind::Bingo,
-                TelemetryLevel::Counts,
-                ThrottleMode::Off,
-            ),
-            trace_cell_key(
-                scale,
-                "/tmp/t/streaming",
-                PrefetcherKind::Bingo,
-                TelemetryLevel::Off,
-                ThrottleMode::Feedback,
-            ),
-        ] {
-            assert_ne!(base, other);
-        }
-    }
-
-    /// The replay acceptance test: a captured trace swept through the
-    /// parallel harness reproduces the live generator sweep bit-for-bit
-    /// (modulo the attached ingest report, which only replay carries).
+    /// A captured trace swept through the parallel harness reproduces the
+    /// live generator sweep bit-for-bit (modulo the attached ingest
+    /// report, which only replay carries), under trace-namespaced keys
+    /// that ignore the seed.
     #[test]
     fn trace_grid_matches_live_generators_bit_for_bit() {
         let scale = tiny_scale(21);
@@ -2916,6 +1788,13 @@ mod tests {
         bingo_workloads::capture_workload(workload, cores, scale.seed, records, 1024, &dir)
             .expect("capture");
         let trace = TraceWorkload::open(&dir).expect("open capture");
+        let key = CellSpec::new(Cores::Trace(trace.clone(), PrefetcherKind::Bingo), scale).key();
+        assert!(key.as_ref().unwrap().starts_with("trace:"), "{key:?}");
+        let reseeded = CellSpec::new(
+            Cores::Trace(trace.clone(), PrefetcherKind::Bingo),
+            tiny_scale(22),
+        );
+        assert_eq!(key, reseeded.key(), "seed must not split trace checkpoints");
 
         let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine(1)];
         let mut h = ParallelHarness::with_jobs(scale, 2).quiet();
@@ -2925,8 +1804,10 @@ mod tests {
         let evals = report.into_complete();
 
         for (e, &kind) in evals.iter().zip(&kinds) {
-            assert_eq!(e.trace, trace.name());
-            let live = run_one(workload, kind, scale);
+            assert_eq!(e.workload, trace.name());
+            let live = CellSpec::new(Cores::Uniform(workload, kind), scale)
+                .run()
+                .expect("live run");
             let mut replayed = e.result.clone();
             let ingest = replayed.ingest.take().expect("replay attaches a report");
             assert!(ingest.is_clean(), "pristine capture quarantined: {ingest}");
@@ -2988,7 +1869,7 @@ mod tests {
         let baseline_failure = report
             .failures
             .iter()
-            .find(|f| f.kind == PrefetcherKind::None)
+            .find(|f| f.label.ends_with("/ None"))
             .expect("strict baseline fails");
         assert!(
             baseline_failure.reason.contains("byte"),
@@ -3114,44 +1995,6 @@ mod tests {
         assert_eq!(t.orphans, 0, "fault injection must not orphan records");
     }
 
-    #[test]
-    fn telemetry_cell_keys_extend_but_preserve_off_keys() {
-        let scale = tiny_scale(1);
-        let (w, k) = (Workload::Em3d, PrefetcherKind::Bingo);
-        assert_eq!(
-            cell_key_with_telemetry(scale, w, k, TelemetryLevel::Off),
-            cell_key(scale, w, k),
-            "off keys must match pre-telemetry checkpoints"
-        );
-        let counts = cell_key_with_telemetry(scale, w, k, TelemetryLevel::Counts);
-        let trace = cell_key_with_telemetry(scale, w, k, TelemetryLevel::Trace);
-        assert!(counts.ends_with("/telemetry=counts"));
-        assert_ne!(counts, trace);
-        assert_ne!(counts, cell_key(scale, w, k));
-    }
-
-    #[test]
-    fn throttle_cell_keys_extend_but_preserve_off_keys() {
-        let scale = tiny_scale(1);
-        let (w, k) = (Workload::Em3d, PrefetcherKind::Bingo);
-        for telemetry in [TelemetryLevel::Off, TelemetryLevel::Counts] {
-            assert_eq!(
-                cell_key_with_options(scale, w, k, telemetry, ThrottleMode::Off),
-                cell_key_with_telemetry(scale, w, k, telemetry),
-                "throttle-off keys must match pre-throttle checkpoints"
-            );
-        }
-        let fb = cell_key_with_options(scale, w, k, TelemetryLevel::Off, ThrottleMode::Feedback);
-        let st = cell_key_with_options(scale, w, k, TelemetryLevel::Off, ThrottleMode::Static);
-        assert!(fb.ends_with("/throttle=feedback"));
-        assert!(st.ends_with("/throttle=static"));
-        assert_ne!(fb, st);
-        // Both dimensions compose in a fixed order.
-        let both =
-            cell_key_with_options(scale, w, k, TelemetryLevel::Counts, ThrottleMode::Feedback);
-        assert!(both.ends_with("/telemetry=counts/throttle=feedback"));
-    }
-
     /// The harness-level throttle contract: a feedback-throttled sweep
     /// completes, and because throttling is strictly subtractive, the
     /// throttled Bingo never issues more prefetches than the unthrottled
@@ -3270,11 +2113,16 @@ mod tests {
         // Many cells over one workload: one baseline, shared by all.
         let evals = h.evaluate_all(
             &[Workload::Streaming],
-            &[PrefetcherKind::NextLine(1), PrefetcherKind::Stride],
+            &[
+                PrefetcherKind::NextLine(1),
+                PrefetcherKind::Stride,
+                PrefetcherKind::None,
+            ],
         );
-        assert_eq!(evals.len(), 2);
+        assert_eq!(evals.len(), 3);
         assert_eq!(evals[0].baseline, evals[1].baseline);
-        assert_eq!(h.baseline(Workload::Streaming), &evals[0].baseline);
+        // The None cell *is* the baseline run, resolved from the cache.
+        assert_eq!(evals[2].result, evals[0].baseline);
     }
 
     /// A tiny committed-style mix used by the mix-grid unit tests.
@@ -3287,45 +2135,6 @@ mod tests {
         )
         .unwrap()
         .remove(0)
-    }
-
-    #[test]
-    fn mix_keys_are_namespaced_and_stable_in_default_modes() {
-        let scale = tiny_scale(7);
-        let mix = tiny_mix();
-        let key = mix_cell_key(
-            scale,
-            &mix,
-            2,
-            &Pressure::NONE,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        );
-        assert_eq!(
-            key,
-            "mix:7/15000/5000/tiny@2/c0=streaming+Stride,c1=stress-storm+None*50%"
-        );
-        let pressured = mix_cell_key(
-            scale,
-            &mix,
-            2,
-            &Pressure::SCARCE,
-            TelemetryLevel::Counts,
-            ThrottleMode::Feedback,
-        );
-        assert!(
-            pressured.ends_with("/pressure=scarce/telemetry=counts/throttle=feedback"),
-            "{pressured}"
-        );
-        let solo = mix_solo_key(
-            scale,
-            1,
-            &mix.cores[1],
-            &Pressure::NONE,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        );
-        assert_eq!(solo, "mix-solo:7/15000/5000/c1=stress-storm+None*50%");
     }
 
     #[test]
@@ -3410,10 +2219,12 @@ mod tests {
         assert!(report.evaluations[0].is_none(), "broken cell has no result");
         assert!(report.evaluations[1].is_some(), "healthy cell completed");
         // The solo failure and the dependent cell failure are both listed.
-        assert!(report.failures.iter().any(|f| f.solo.is_some()));
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.solo.is_none() && f.mix_name == "broken"));
+        let labels: Vec<&str> = report.failures.iter().map(|f| f.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["solo c0=em3d+Faulty@100 / none", "broken@1 / none"],
+            "{}",
+            report.failure_report()
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! for a fixed fault seed, and only *lose coverage*, degrading toward
 //! no-prefetch behavior — never corrupting the simulation itself.
 
-use bingo_bench::{run_one, ParallelHarness, PrefetcherKind, RunScale};
+use bingo_bench::{CellSpec, Cores, ParallelHarness, PrefetcherKind, RunScale};
 use bingo_workloads::Workload;
 
 fn scale(seed: u64) -> RunScale {
@@ -62,8 +62,12 @@ fn fault_injection_is_deterministic_per_seed() {
         fault_seed: 0xDE7E_2717,
         rate: 0.05,
     };
-    let a = run_one(Workload::Em3d, kind, scale(33));
-    let b = run_one(Workload::Em3d, kind, scale(33));
+    let a = CellSpec::new(Cores::Uniform(Workload::Em3d, kind), scale(33))
+        .run()
+        .unwrap();
+    let b = CellSpec::new(Cores::Uniform(Workload::Em3d, kind), scale(33))
+        .run()
+        .unwrap();
     assert_eq!(
         a, b,
         "same workload seed + fault seed must reproduce exactly"
@@ -71,14 +75,18 @@ fn fault_injection_is_deterministic_per_seed() {
 
     // A different fault seed corrupts differently (the injector stream is
     // real, not a no-op).
-    let c = run_one(
-        Workload::Em3d,
-        PrefetcherKind::BingoFaulty {
-            fault_seed: 0xDE7E_2718,
-            rate: 0.05,
-        },
+    let c = CellSpec::new(
+        Cores::Uniform(
+            Workload::Em3d,
+            PrefetcherKind::BingoFaulty {
+                fault_seed: 0xDE7E_2718,
+                rate: 0.05,
+            },
+        ),
         scale(33),
-    );
+    )
+    .run()
+    .unwrap();
     assert_ne!(a, c, "distinct fault seeds should perturb the run");
 }
 

@@ -225,7 +225,7 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
     assert!(report.evaluations[0].is_some() && report.evaluations[1].is_some());
     assert!(report.evaluations[2].is_none());
     assert!(
-        report.failures.iter().any(|f| f.solo.is_some()),
+        report.failures.iter().any(|f| f.label.starts_with("solo ")),
         "the re-attempted failure is the broken solo"
     );
     let _ = std::fs::remove_file(&path);

@@ -7,7 +7,9 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use bingo_bench::{Checkpoint, Evaluation, ParallelHarness, PrefetcherKind, RunScale};
+use bingo_bench::{
+    CellSpec, Checkpoint, Cores, Evaluation, ParallelHarness, PrefetcherKind, RunScale,
+};
 use bingo_sim::ThrottleMode;
 use bingo_workloads::Workload;
 
@@ -131,7 +133,7 @@ fn resume_from_checkpoint_is_bit_for_bit_identical() {
     for (f, r) in fresh.iter().zip(&resumed) {
         assert_eq!(f.workload, r.workload);
         assert_eq!(f.kind, r.kind);
-        assert_bit_identical(f, r, &format!("{} / {}", f.workload.name(), f.kind.name()));
+        assert_bit_identical(f, r, &format!("{} / {}", f.workload, f.kind.name()));
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -162,7 +164,7 @@ fn completed_checkpoint_resumes_without_any_simulation() {
     );
     let resumed = report.into_complete();
     for (f, r) in fresh.iter().zip(&resumed) {
-        assert_bit_identical(f, r, &format!("{} / {}", f.workload.name(), f.kind.name()));
+        assert_bit_identical(f, r, &format!("{} / {}", f.workload, f.kind.name()));
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -215,7 +217,7 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
     let resumed = report.into_complete();
     assert_eq!(fresh.len(), resumed.len());
     for (f, r) in fresh.iter().zip(&resumed) {
-        assert_bit_identical(f, r, &format!("{} / {}", f.workload.name(), f.kind.name()));
+        assert_bit_identical(f, r, &format!("{} / {}", f.workload, f.kind.name()));
     }
 
     // Mode mismatch: an *unthrottled* harness on the same file finds no
@@ -256,11 +258,17 @@ fn failed_cells_are_not_checkpointed_and_retry_on_resume() {
         "baseline + healthy cell only; no failure entry"
     );
     assert!(
-        cp.get(&bingo_bench::cell_key(
-            scale(),
-            Workload::Streaming,
-            PrefetcherKind::Faulty { panic_after: 0 }
-        ))
+        cp.get(
+            &CellSpec::new(
+                Cores::Uniform(
+                    Workload::Streaming,
+                    PrefetcherKind::Faulty { panic_after: 0 }
+                ),
+                scale()
+            )
+            .key()
+            .unwrap()
+        )
         .is_none(),
         "a panicked cell must be retried on resume, not replayed"
     );

@@ -63,7 +63,6 @@ pub mod stats;
 pub mod system;
 pub mod telemetry;
 pub mod throttle;
-pub mod trace;
 
 pub use addr::{Addr, BlockAddr, CoreId, Pc, RegionGeometry, RegionId, BLOCK_BYTES, BLOCK_SHIFT};
 pub use cache::{Cache, Evicted, Lookup, ReplacementPolicy};
@@ -88,7 +87,6 @@ pub use throttle::{
     CoreSignals, PercoreThrottle, ThrottleController, ThrottleLevel, ThrottleMode, ThrottleStats,
     WatchdogStats, DEFAULT_QOS_SLO,
 };
-pub use trace::{record, Trace, TraceError, TraceSource};
 
 /// Asserts an internal invariant, compiled in only under the `audit`
 /// feature.

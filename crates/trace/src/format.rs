@@ -1,9 +1,8 @@
 //! The framed binary trace format (`.btrc`), version 1.
 //!
-//! The in-memory v1 format of `bingo_sim::trace` (`BGTR`) holds the whole
-//! instruction stream in one unframed blob: fine for small traces, but a
-//! multi-gigabyte capture would have to be resident in full, and a single
-//! flipped byte poisons everything after it. The framed format fixes both:
+//! The record stream is cut into framed, checksummed chunks, so a
+//! multi-gigabyte capture never has to be resident in full and a single
+//! flipped byte poisons one chunk, not everything after it:
 //!
 //! ```text
 //! file header (24 bytes):
@@ -38,15 +37,15 @@
 //! bump [`VERSION`].
 //!
 //! Every multi-byte integer is little-endian. The chunk framing gives a
-//! reader three properties the flat format cannot: memory is bounded by
+//! reader three properties a flat record stream cannot: memory is bounded by
 //! one chunk regardless of trace length, corruption is detected by the
 //! per-chunk CRC before any record is trusted, and a lenient reader can
 //! resynchronize at the next valid chunk instead of abandoning the file.
 
 use bingo_sim::{Addr, Instr, Pc};
 
-/// File magic. Distinct from the flat format's `BGTR` so a misfed file is
-/// a typed error, never a silent misparse.
+/// File magic. A misfed file (a raw record stream, anything else) is a
+/// typed error, never a silent misparse.
 pub const FILE_MAGIC: [u8; 8] = *b"BGTRACE2";
 
 /// Format version this crate reads and writes.

@@ -1,7 +1,6 @@
 //! Best-effort reader for *raw* record streams: a bare concatenation of
 //! v1-encoded records with no header, no chunking, and no checksums —
-//! the shape of a ChampSim-style flat trace or the body of the legacy
-//! `BGTR` format with its 16-byte preamble stripped.
+//! the shape of a ChampSim-style flat trace.
 //!
 //! With no framing there is nothing to resynchronize on, so recovery is
 //! necessarily weaker than the framed reader's: decoding stops at the

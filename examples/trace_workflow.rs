@@ -1,41 +1,51 @@
-//! Trace-driven workflow: record a workload's instruction stream once,
-//! save it, profile its spatial structure offline, and replay it against
-//! two prefetchers — the ChampSim-style methodology this library supports
-//! end-to-end.
+//! Trace-driven workflow: capture a workload's instruction stream once to
+//! a framed `.btrc` file, profile its spatial structure offline, and
+//! replay it against two prefetchers — the ChampSim-style methodology
+//! this library supports end-to-end.
 //!
 //! ```sh
 //! cargo run --release --example trace_workflow
 //! ```
 
+use std::fs::File;
+use std::io::{BufReader, BufWriter};
+
 use bingo_repro::prefetcher::{Bingo, BingoConfig, EventKind, SpatialProfiler};
-use bingo_repro::sim::{
-    record, Instr, NoPrefetcher, Prefetcher, System, SystemConfig, Trace, TraceSource,
-};
+use bingo_repro::sim::{Instr, NoPrefetcher, Prefetcher, System, SystemConfig};
+use bingo_repro::trace::{Policy, ReplaySource, TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS};
 use bingo_repro::workloads::Workload;
 
 fn main() {
-    // 1. Record 400K instructions of the Data Serving workload.
+    // 1. Capture 400K instructions of the Data Serving workload.
+    let dir = std::env::temp_dir().join(format!("bingo-trace-workflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create capture dir");
+    let path = dir.join("data-serving.btrc");
     let mut sources = Workload::DataServing.sources(1, 42);
-    let trace = record(sources[0].as_mut(), 400_000);
+    let file = BufWriter::new(File::create(&path).expect("create trace file"));
+    let mut writer = TraceWriter::new(file, DEFAULT_CHUNK_RECORDS).expect("write trace header");
+    for _ in 0..400_000 {
+        writer
+            .push(sources[0].next_instr())
+            .expect("write trace record");
+    }
+    let records = writer.finish().expect("finish trace");
+    let bytes = std::fs::metadata(&path).expect("stat trace").len();
     println!(
-        "recorded {} instructions ({} memory accesses)",
-        trace.len(),
-        trace.memory_accesses()
+        "captured {records} instructions: {} KB in {}",
+        bytes / 1024,
+        path.display()
     );
 
-    // 2. Round-trip through the binary format (to a buffer here; a file in
-    //    a real workflow).
-    let mut bytes = Vec::new();
-    trace.write_to(&mut bytes).expect("serialize trace");
-    println!("serialized: {} KB", bytes.len() / 1024);
-    let trace = Trace::read_from(bytes.as_slice()).expect("deserialize trace");
-
-    // 3. Profile the spatial structure offline: how predictable is this
+    // 2. Profile the spatial structure offline: how predictable is this
     //    stream, per trigger event, before any prefetcher runs?
+    let file = BufReader::new(File::open(&path).expect("open trace"));
+    let mut reader = TraceReader::new(file, Policy::Strict).expect("read trace header");
     let mut profiler = SpatialProfiler::new(32, 64);
-    for instr in trace.instrs() {
+    let mut memory_accesses = 0u64;
+    while let Some(instr) = reader.next_instr().expect("decode trace") {
         match instr {
             Instr::Load { pc, addr, .. } | Instr::Store { pc, addr } => {
+                memory_accesses += 1;
                 profiler.observe_parts(pc.raw(), addr.block().index());
             }
             Instr::Op => {}
@@ -43,7 +53,8 @@ fn main() {
     }
     let report = profiler.finish();
     println!(
-        "\nspatial profile: {} residencies, mean footprint density {:.1}%",
+        "\nspatial profile: {memory_accesses} memory accesses, {} residencies, \
+         mean footprint density {:.1}%",
         report.residencies,
         report.mean_density() * 100.0
     );
@@ -57,28 +68,21 @@ fn main() {
         );
     }
 
-    // 4. Replay the identical stream against a baseline and Bingo.
-    let mut cfg = SystemConfig::tiny();
-    cfg.cores = 1;
-    let run = |make: Box<dyn Fn() -> Box<dyn Prefetcher>>, t: Trace| {
-        System::new(
-            cfg,
-            vec![Box::new(TraceSource::new(t))],
-            vec![make()],
-            150_000,
-        )
-        .with_warmup(100_000)
-        .run()
+    // 3. Replay the identical stream against a baseline and Bingo.
+    let cfg = SystemConfig::tiny();
+    let run = |prefetcher: Box<dyn Prefetcher>| {
+        let source = ReplaySource::open(&path, Policy::Strict).expect("open replay");
+        System::new(cfg, vec![Box::new(source)], vec![prefetcher], 150_000)
+            .with_warmup(100_000)
+            .run()
     };
-    let base = run(Box::new(|| Box::new(NoPrefetcher)), trace.clone());
-    let bingo = run(
-        Box::new(|| Box::new(Bingo::new(BingoConfig::paper()))),
-        trace,
-    );
+    let base = run(Box::new(NoPrefetcher));
+    let bingo = run(Box::new(Bingo::new(BingoConfig::paper())));
     println!("\n--- baseline ---\n{base}");
     println!("\n--- bingo ---\n{bingo}");
     println!(
         "\nspeedup from the identical replayed stream: {:+.1}%",
         (bingo.speedup_over(&base) - 1.0) * 100.0
     );
+    std::fs::remove_dir_all(&dir).ok();
 }

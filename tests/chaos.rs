@@ -24,10 +24,10 @@
 
 use std::path::Path;
 
-use bingo_bench::{parallel_map, run_mix_qos, MixConfig, PrefetcherKind, Pressure, RunScale};
+use bingo_bench::{parallel_map, CellSpec, Cores, MixConfig, PrefetcherKind, Pressure, RunScale};
 use bingo_sim::{
-    ChaosInjector, ChaosKind, ChaosPlan, InstrSource, PhaseFlipSource, SimResult, System,
-    SystemConfig, ThrottleMode,
+    ChaosKind, ChaosPlan, InstrSource, PhaseFlipSource, SimResult, System, SystemConfig,
+    ThrottleMode,
 };
 use bingo_workloads::Workload;
 
@@ -80,17 +80,13 @@ fn run_chaos(
     throttle: ThrottleMode,
     plan: Option<ChaosPlan>,
 ) -> SimResult {
-    run_mix_qos(
-        mix,
-        2,
-        pressure,
-        SCALE,
-        None,
+    let spec = CellSpec {
+        pressure: *pressure,
         throttle,
-        None,
-        plan.map(ChaosInjector::new),
-    )
-    .expect("chaos cell completes")
+        chaos: plan,
+        ..CellSpec::new(Cores::Mix(mix.clone(), 2), SCALE)
+    };
+    spec.run().expect("chaos cell completes")
 }
 
 #[test]
@@ -226,17 +222,7 @@ fn chaos_runs_replay_bit_for_bit_and_seeds_matter() {
 fn an_injector_that_never_fires_is_bit_for_bit_invisible() {
     let mix = committed_mix("polite-vs-storm");
     for throttle in [ThrottleMode::Off, ThrottleMode::Percore] {
-        let calm = run_mix_qos(
-            &mix,
-            2,
-            &Pressure::CONSTRAINED,
-            SCALE,
-            None,
-            throttle,
-            None,
-            None,
-        )
-        .expect("calm run completes");
+        let calm = run_chaos(&mix, &Pressure::CONSTRAINED, throttle, None);
         // First onset far past any plausible cycle count for this scale.
         let dormant = ChaosPlan {
             seed: CHAOS_SEED,

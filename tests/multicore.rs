@@ -16,10 +16,10 @@
 //!    exactly from the per-core stats they summarize.
 
 use bingo_bench::{
-    parallel_map, run_mix_configured, run_mix_solo_configured, run_one_configured, MixAssignment,
-    MixCell, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale,
+    parallel_map, CellSpec, Cores, MixAssignment, MixCell, MixConfig, ParallelHarness,
+    PrefetcherKind, Pressure, RunScale,
 };
-use bingo_sim::{SimResult, System, SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_sim::{SimResult, System, SystemConfig};
 use bingo_workloads::Workload;
 
 const SCALE: RunScale = RunScale {
@@ -28,14 +28,23 @@ const SCALE: RunScale = RunScale {
     seed: 42,
 };
 
-/// The pre-mix single-core path: explicit 1-core machine, the workload's
-/// own source vector, one prefetcher.
-fn classic_single_core(workload: Workload, kind: PrefetcherKind) -> SimResult {
-    let cfg = SystemConfig::paper_single_core();
-    let sources = workload.sources(1, SCALE.seed);
+/// The classic construction, built here rather than through the runner
+/// so the equivalence tests compare against an independent reference:
+/// an explicit machine of `cores` cores, the workload's own source
+/// vector, one prefetcher per core.
+fn classic(workload: Workload, kind: PrefetcherKind, cores: usize) -> SimResult {
+    let cfg = SystemConfig::paper().with_cores(cores);
+    let sources = workload.sources(cores, SCALE.seed);
     System::with_prefetchers(cfg, sources, |_| kind.build(), SCALE.instructions_per_core)
         .with_warmup(SCALE.warmup_per_core)
         .run()
+}
+
+/// `mix` at `cores` cores through the runner, everything else default.
+fn run_mix(mix: &MixConfig, cores: usize) -> SimResult {
+    CellSpec::new(Cores::Mix(mix.clone(), cores), SCALE)
+        .run()
+        .expect("mix run completes")
 }
 
 /// A mix with `cores` identical slots.
@@ -75,18 +84,8 @@ fn one_core_mix_is_bit_for_bit_the_classic_single_core_path() {
         .collect();
     let mismatches: Vec<String> = parallel_map(4, pairs.len(), |i| {
         let (w, k) = pairs[i];
-        let classic = classic_single_core(w, k);
-        let mix = homogeneous_mix(w, k, 1);
-        let via_mix = run_mix_configured(
-            &mix,
-            1,
-            &Pressure::NONE,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .expect("mix run completes");
+        let classic = classic(w, k, 1);
+        let via_mix = run_mix(&homogeneous_mix(w, k, 1), 1);
         (classic != via_mix).then(|| format!("{} / {}", w.name(), k.name()))
     })
     .into_iter()
@@ -101,26 +100,8 @@ fn one_core_mix_is_bit_for_bit_the_classic_single_core_path() {
 #[test]
 fn four_core_homogeneous_mix_matches_the_classic_path() {
     for kind in [PrefetcherKind::None, PrefetcherKind::Bingo] {
-        let classic = run_one_configured(
-            Workload::Streaming,
-            kind,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .expect("classic run completes");
-        let mix = homogeneous_mix(Workload::Streaming, kind, 4);
-        let via_mix = run_mix_configured(
-            &mix,
-            4,
-            &Pressure::NONE,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
-        )
-        .expect("mix run completes");
+        let classic = classic(Workload::Streaming, kind, 4);
+        let via_mix = run_mix(&homogeneous_mix(Workload::Streaming, kind, 4), 4);
         assert_eq!(
             classic,
             via_mix,
@@ -183,18 +164,7 @@ fn mix_grid_is_deterministic_across_worker_counts() {
 fn repeated_mix_runs_are_bit_for_bit_equal() {
     let mix = contention_mix();
     for cores in [2usize, 4] {
-        let run = || {
-            run_mix_configured(
-                &mix,
-                cores,
-                &Pressure::NONE,
-                SCALE,
-                None,
-                TelemetryLevel::Off,
-                ThrottleMode::Off,
-            )
-            .expect("mix run completes")
-        };
+        let run = || run_mix(&mix, cores);
         assert_eq!(run(), run(), "repeated {cores}-core mix run diverged");
     }
 }
@@ -229,16 +199,17 @@ fn fairness_metrics_recompute_from_per_core_stats() {
         "min/max IPC ratio does not recompute"
     );
     for (slot, &mix_ipc) in ipcs.iter().enumerate() {
-        let solo = run_mix_solo_configured(
-            mix.assignment(slot),
-            slot,
-            &Pressure::NONE,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            ThrottleMode::Off,
+        // The solo reference, built directly: the slot's stream on a
+        // 1-core machine.
+        let a = mix.assignment(slot);
+        let solo = System::new_heterogeneous(
+            SystemConfig::paper_single_core(),
+            vec![a.workload.source_for_core(slot, SCALE.seed)],
+            vec![a.prefetcher.build()],
+            &[a.instructions(SCALE.instructions_per_core)],
         )
-        .expect("solo run completes");
+        .with_warmup(SCALE.warmup_per_core)
+        .run();
         let solo_ipc: f64 = solo.core_ipcs().iter().sum();
         assert_eq!(
             e.fairness.slowdowns[slot].to_bits(),

@@ -16,8 +16,8 @@
 
 use std::path::Path;
 
-use bingo_bench::{run_mix_configured, run_mix_qos, MixConfig, Pressure, RunScale};
-use bingo_sim::{SimResult, TelemetryLevel, ThrottleMode};
+use bingo_bench::{CellSpec, Cores, MixConfig, Pressure, RunScale};
+use bingo_sim::{SimResult, ThrottleMode};
 
 const SCALE: RunScale = RunScale {
     instructions_per_core: 400_000,
@@ -35,6 +35,15 @@ fn committed_mix(name: &str) -> MixConfig {
         .unwrap_or_else(|| panic!("contention.mix does not declare {name:?}"))
 }
 
+/// `mix` at 2 cores under constrained pressure with the given throttle.
+fn constrained_pair(mix: &MixConfig, scale: RunScale, throttle: ThrottleMode) -> CellSpec {
+    CellSpec {
+        pressure: Pressure::CONSTRAINED,
+        throttle,
+        ..CellSpec::new(Cores::Mix(mix.clone(), 2), scale)
+    }
+}
+
 /// Aggregate throughput under the mix-fairness convention: the sum of
 /// per-core IPCs (what PR 8's published starvation verdict used).
 fn sum_ipc(r: &SimResult) -> f64 {
@@ -44,18 +53,10 @@ fn sum_ipc(r: &SimResult) -> f64 {
 #[test]
 fn percore_recovers_the_polite_core_without_losing_aggregate_ipc() {
     let mix = committed_mix("polite-vs-storm");
-    let pressure = Pressure::CONSTRAINED;
     let run = |throttle: ThrottleMode| -> SimResult {
-        run_mix_configured(
-            &mix,
-            2,
-            &pressure,
-            SCALE,
-            None,
-            TelemetryLevel::Off,
-            throttle,
-        )
-        .expect("qos acceptance cell completes")
+        constrained_pair(&mix, SCALE, throttle)
+            .run()
+            .expect("qos acceptance cell completes")
     };
     let off = run(ThrottleMode::Off);
     let feedback = run(ThrottleMode::Feedback);
@@ -125,23 +126,15 @@ fn percore_recovers_the_polite_core_without_losing_aggregate_ipc() {
 #[test]
 fn qos_report_attaches_only_to_percore_runs() {
     let mix = committed_mix("polite-vs-storm");
-    let pressure = Pressure::CONSTRAINED;
     let small = RunScale {
         instructions_per_core: 15_000,
         warmup_per_core: 10_000,
         seed: 42,
     };
     let run = |throttle: ThrottleMode| -> SimResult {
-        run_mix_configured(
-            &mix,
-            2,
-            &pressure,
-            small,
-            None,
-            TelemetryLevel::Off,
-            throttle,
-        )
-        .expect("cell completes")
+        constrained_pair(&mix, small, throttle)
+            .run()
+            .expect("cell completes")
     };
     for mode in [
         ThrottleMode::Off,
@@ -170,26 +163,14 @@ fn qos_slo_override_is_invisible_off_the_percore_path() {
         seed: 42,
     };
     for mode in [ThrottleMode::Off, ThrottleMode::Feedback] {
-        let plain = run_mix_configured(
-            &mix,
-            2,
-            &Pressure::CONSTRAINED,
-            small,
-            None,
-            TelemetryLevel::Off,
-            mode,
-        )
-        .expect("cell completes");
-        let with_slo = run_mix_qos(
-            &mix,
-            2,
-            &Pressure::CONSTRAINED,
-            small,
-            None,
-            mode,
-            Some(0.5),
-            None,
-        )
+        let plain = constrained_pair(&mix, small, mode)
+            .run()
+            .expect("cell completes");
+        let with_slo = CellSpec {
+            qos_slo: Some(0.5),
+            ..constrained_pair(&mix, small, mode)
+        }
+        .run()
         .expect("cell completes");
         assert_eq!(plain, with_slo, "qos_slo changed a {mode} run");
     }

@@ -14,10 +14,9 @@ use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 use bingo_repro::bench::{
-    run_trace_cell, run_trace_one_configured, CellOutcome, Checkpoint, ParallelHarness,
-    PrefetcherKind, RunScale,
+    CellOutcome, CellSpec, Checkpoint, Cores, ParallelHarness, PrefetcherKind, RunScale,
 };
-use bingo_repro::sim::{Instr, TelemetryLevel, ThrottleMode};
+use bingo_repro::sim::Instr;
 use bingo_repro::trace::{Policy, TraceReader};
 use bingo_repro::workloads::TraceWorkload;
 
@@ -119,15 +118,9 @@ fn corpus_trace_drives_a_simulation_end_to_end() {
         warmup_per_core: 500,
         seed: 0,
     };
-    let mut result = run_trace_one_configured(
-        &trace,
-        PrefetcherKind::NextLine(1),
-        scale,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
-    .expect("corpus replay completes");
+    let mut result = CellSpec::new(Cores::Trace(trace, PrefetcherKind::NextLine(1)), scale)
+        .run()
+        .expect("corpus replay completes");
     let ingest = result.ingest.take().expect("replay attaches a report");
     assert!(ingest.is_clean(), "pristine corpus quarantined: {ingest}");
     assert!(
@@ -147,14 +140,7 @@ fn corrupt_corpus_trace_fails_strict_cell_but_completes_lenient_sim() {
     };
 
     let strict = TraceWorkload::open(&dir).expect("open corpus capture");
-    match run_trace_cell(
-        &strict,
-        PrefetcherKind::None,
-        scale,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    ) {
+    match CellSpec::new(Cores::Trace(strict, PrefetcherKind::None), scale).run_isolated(false) {
         CellOutcome::Panicked { message } => {
             assert!(
                 message.contains("byte"),
@@ -166,14 +152,7 @@ fn corrupt_corpus_trace_fails_strict_cell_but_completes_lenient_sim() {
 
     let lenient =
         TraceWorkload::with_policy(&dir, Policy::Lenient).expect("open corpus capture leniently");
-    match run_trace_cell(
-        &lenient,
-        PrefetcherKind::None,
-        scale,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    ) {
+    match CellSpec::new(Cores::Trace(lenient, PrefetcherKind::None), scale).run_isolated(false) {
         CellOutcome::Ok(result) => {
             let ingest = result.ingest.as_ref().expect("replay attaches a report");
             assert!(

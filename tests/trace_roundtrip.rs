@@ -7,8 +7,8 @@
 
 use std::path::PathBuf;
 
-use bingo_repro::bench::{run_one, run_trace_one_configured, PrefetcherKind, RunScale};
-use bingo_repro::sim::{SimResult, SystemConfig, TelemetryLevel, ThrottleMode};
+use bingo_repro::bench::{CellSpec, Cores, PrefetcherKind, RunScale};
+use bingo_repro::sim::{SimResult, System, SystemConfig};
 use bingo_repro::workloads::{capture_workload, TraceWorkload, Workload};
 
 const SCALE: RunScale = RunScale {
@@ -51,15 +51,9 @@ fn round_trip(
     capture_workload(workload, cores, SCALE.seed, records, chunk_records, &dir)
         .unwrap_or_else(|e| panic!("capture of {workload} failed: {e}"));
     let trace = TraceWorkload::open(&dir).expect("open capture");
-    let mut replayed = run_trace_one_configured(
-        &trace,
-        kind,
-        SCALE,
-        None,
-        TelemetryLevel::Off,
-        ThrottleMode::Off,
-    )
-    .unwrap_or_else(|abort| panic!("replay of {workload} aborted: {abort}"));
+    let mut replayed = CellSpec::new(Cores::Trace(trace, kind), SCALE)
+        .run()
+        .unwrap_or_else(|abort| panic!("replay of {workload} aborted: {abort}"));
     let ingest = replayed
         .ingest
         .take()
@@ -72,7 +66,13 @@ fn round_trip(
         ingest.delivered_records <= records * cores as u64,
         "{workload}: replay wrapped into a second pass"
     );
-    let live = run_one(workload, kind, SCALE);
+    // The live reference is built directly, outside the runner.
+    let cfg = SystemConfig::paper();
+    let sources = workload.sources(cfg.cores, SCALE.seed);
+    let live =
+        System::with_prefetchers(cfg, sources, |_| kind.build(), SCALE.instructions_per_core)
+            .with_warmup(SCALE.warmup_per_core)
+            .run();
     std::fs::remove_dir_all(&dir).ok();
     (live, replayed)
 }
