@@ -516,7 +516,7 @@ impl CellSpec {
     }
 
     /// The core count of the cell's machine.
-    pub fn core_count(&self) -> usize {
+    fn core_count(&self) -> usize {
         match &self.cores {
             Cores::Uniform(..) | Cores::Trace(..) => SystemConfig::paper().cores,
             Cores::Mix(_, cores) => *cores,
@@ -527,7 +527,7 @@ impl CellSpec {
     /// The runs this cell is read against: the no-prefetcher run of the
     /// same workload or trace, or the solo run of every mix slot. A solo
     /// run has none.
-    pub fn references(&self) -> Vec<CellSpec> {
+    fn references(&self) -> Vec<CellSpec> {
         let with = |cores: Cores| CellSpec {
             cores,
             ..self.clone()
@@ -918,7 +918,7 @@ impl ParallelHarness {
 
     /// A spec for `cores` at this harness's scale, telemetry level,
     /// throttle mode and cell deadline.
-    pub fn spec(&self, cores: Cores) -> CellSpec {
+    fn spec(&self, cores: Cores) -> CellSpec {
         CellSpec {
             telemetry: self.telemetry,
             throttle: self.throttle,
@@ -934,7 +934,7 @@ impl ParallelHarness {
     /// recorded to the checkpoint, and every completed keyed result,
     /// replays included, to the stats export. Write errors degrade the
     /// checkpoint or export, never the sweep.
-    pub fn resolve(&mut self, specs: &[CellSpec]) -> (Vec<CellOutcome>, usize) {
+    fn resolve(&mut self, specs: &[CellSpec]) -> (Vec<CellOutcome>, usize) {
         let keys: Vec<Option<String>> = specs.iter().map(CellSpec::key).collect();
         let mut outcomes: Vec<Option<CellOutcome>> = vec![None; specs.len()];
         let mut hits = 0;
@@ -1021,7 +1021,7 @@ impl ParallelHarness {
             }
         }
 
-        let mut blocked: Vec<Option<CellOutcome>> = cells
+        let mut outcomes: Vec<Option<CellOutcome>> = cells
             .iter()
             .map(|cell| {
                 let failed = cell
@@ -1033,11 +1033,11 @@ impl ParallelHarness {
                 })
             })
             .collect();
-        let runnable: Vec<usize> = (0..cells.len()).filter(|&i| blocked[i].is_none()).collect();
+        let runnable: Vec<usize> = (0..cells.len()).filter(|&i| outcomes[i].is_none()).collect();
         let specs: Vec<CellSpec> = runnable.iter().map(|&i| cells[i].clone()).collect();
         let (ran, hits) = self.resolve(&specs);
         for (&i, outcome) in runnable.iter().zip(ran) {
-            blocked[i] = Some(outcome);
+            outcomes[i] = Some(outcome);
         }
         if self.progress && cells.len() > 1 {
             eprintln!(
@@ -1050,7 +1050,7 @@ impl ParallelHarness {
 
         let evaluations = cells
             .iter()
-            .zip(blocked)
+            .zip(outcomes)
             .map(
                 |(cell, outcome)| match outcome.expect("every cell resolved") {
                     CellOutcome::Ok(result) => {
