@@ -997,25 +997,29 @@ impl ParallelHarness {
     /// completed, and derives each evaluation from a cell's result and
     /// its references' results. A cell whose reference failed is not run
     /// and is reported as a failure tied to that reference.
+    ///
+    /// References are identified by their keys, so a grid cell never
+    /// carries a chaos plan or an SLO override (see [`CellSpec::key`]).
     fn evaluate_cells<E>(
         &mut self,
         cells: &[CellSpec],
         derive: impl Fn(&CellSpec, SimResult, Vec<SimResult>) -> E,
     ) -> GridReport<E> {
+        let ref_key = |r: &CellSpec| r.key().expect("grid references are keyed");
         let started = Instant::now();
         let mut refs: Vec<CellSpec> = Vec::new();
         for r in cells.iter().flat_map(CellSpec::references) {
-            if !refs.iter().any(|q| q.key() == r.key()) {
+            if !refs.iter().any(|q| ref_key(q) == ref_key(&r)) {
                 refs.push(r);
             }
         }
         let (ref_outcomes, ref_hits) = self.resolve(&refs);
         let mut failures = Vec::new();
-        let mut ref_results: HashMap<Option<String>, SimResult> = HashMap::new();
+        let mut ref_results: HashMap<String, SimResult> = HashMap::new();
         for (r, outcome) in refs.iter().zip(ref_outcomes) {
             match outcome {
                 CellOutcome::Ok(result) => {
-                    ref_results.insert(r.key(), *result);
+                    ref_results.insert(ref_key(r), *result);
                 }
                 failed => failures.push(CellFailure::new(r, &failed)),
             }
@@ -1027,13 +1031,15 @@ impl ParallelHarness {
                 let failed = cell
                     .references()
                     .into_iter()
-                    .find(|r| !ref_results.contains_key(&r.key()))?;
+                    .find(|r| !ref_results.contains_key(&ref_key(r)))?;
                 Some(CellOutcome::Panicked {
                     message: format!("not run: its reference run {} failed", failed.label()),
                 })
             })
             .collect();
-        let runnable: Vec<usize> = (0..cells.len()).filter(|&i| outcomes[i].is_none()).collect();
+        let runnable: Vec<usize> = (0..cells.len())
+            .filter(|&i| outcomes[i].is_none())
+            .collect();
         let specs: Vec<CellSpec> = runnable.iter().map(|&i| cells[i].clone()).collect();
         let (ran, hits) = self.resolve(&specs);
         for (&i, outcome) in runnable.iter().zip(ran) {
@@ -1057,7 +1063,7 @@ impl ParallelHarness {
                         let refs = cell
                             .references()
                             .iter()
-                            .map(|r| ref_results[&r.key()].clone())
+                            .map(|r| ref_results[&ref_key(r)].clone())
                             .collect();
                         Some(derive(cell, *result, refs))
                     }
@@ -1193,6 +1199,8 @@ impl ParallelHarness {
 /// The outcome of one prefetcher-on-workload (or on-trace) evaluation.
 #[derive(Clone, Debug)]
 pub struct Evaluation {
+    /// Name of the evaluated cell, [`CellSpec::label`]: `em3d / Bingo`.
+    pub label: String,
     /// Name of the workload evaluated, or of the replayed trace (its
     /// capture directory name).
     pub workload: String,
@@ -1223,6 +1231,7 @@ impl Evaluation {
         };
         let baseline = refs.pop().expect("one baseline per cell");
         Evaluation {
+            label: spec.label(),
             workload,
             kind,
             coverage: CoverageReport::from_runs(&result, &baseline),
@@ -1366,7 +1375,7 @@ impl GridReport<Evaluation> {
             for &name in names {
                 if e.result.metric_sum(name).is_none() {
                     self.failures.push(CellFailure {
-                        label: format!("{} / {}", e.workload, e.kind.name()),
+                        label: e.label.clone(),
                         reason: format!(
                             "metric {name:?} missing: {} reported no such metric",
                             e.kind.name()
@@ -1741,22 +1750,65 @@ mod tests {
             spec(Cores::Solo(mix.cores[1], 1)).key().unwrap(),
             "mix-solo:7/15000/5000/c1=stress-storm+None*50%"
         );
-        // Every dimension separates classic keys.
-        let base = spec(bingo.clone()).key();
+        // Trace keys carry the trace's own key (path, policy, content
+        // fingerprint) and no seed: the recorded bytes fix the stream.
+        let dir = std::env::temp_dir()
+            .join("bingo-bench-trace-keys")
+            .join(std::process::id().to_string());
+        bingo_workloads::capture_workload(Workload::Streaming, 1, 1, 64, 16, &dir)
+            .expect("capture");
+        let trace = TraceWorkload::open(&dir).expect("open capture");
+        let traced = Cores::Trace(trace.clone(), PrefetcherKind::Bingo);
+        assert_eq!(
+            spec(traced.clone()).key().unwrap(),
+            format!("trace:{}/15000/5000/Bingo", trace.key())
+        );
+        assert_eq!(
+            spec(traced.clone()).key(),
+            CellSpec::new(traced.clone(), tiny_scale(8)).key(),
+            "seed must not split trace checkpoints"
+        );
+        let lenient =
+            TraceWorkload::with_policy(&dir, bingo_trace::Policy::Lenient).expect("open capture");
+        assert_ne!(
+            spec(traced.clone()).key(),
+            spec(Cores::Trace(lenient, PrefetcherKind::Bingo)).key()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        // In every namespace, every run dimension separates keys.
+        for cores in [
+            bingo.clone(),
+            traced,
+            Cores::Mix(mix.clone(), 2),
+            Cores::Solo(mix.cores[1], 1),
+        ] {
+            let base = spec(cores.clone());
+            let changed = |f: &dyn Fn(&mut CellSpec)| {
+                let mut other = base.clone();
+                f(&mut other);
+                other.key()
+            };
+            let mut variants = vec![
+                changed(&|s| s.scale.instructions_per_core += 1),
+                changed(&|s| s.scale.warmup_per_core += 1),
+                changed(&|s| s.pressure = Pressure::SCARCE),
+                changed(&|s| s.telemetry = TelemetryLevel::Counts),
+                changed(&|s| s.telemetry = TelemetryLevel::Trace),
+                changed(&|s| s.throttle = ThrottleMode::Static),
+                changed(&|s| s.throttle = ThrottleMode::Feedback),
+            ];
+            if !matches!(cores, Cores::Trace(..)) {
+                variants.push(changed(&|s| s.scale.seed += 1));
+            }
+            for other in variants {
+                assert_ne!(base.key(), other, "{}", base.label());
+            }
+        }
         for other in [
-            CellSpec::new(bingo.clone(), tiny_scale(8)),
             spec(Cores::Uniform(Workload::Streaming, PrefetcherKind::Bingo)),
             spec(Cores::Uniform(Workload::Em3d, PrefetcherKind::Bop)),
-            CellSpec {
-                throttle: ThrottleMode::Static,
-                ..spec(bingo.clone())
-            },
-            CellSpec {
-                telemetry: TelemetryLevel::Trace,
-                ..spec(bingo.clone())
-            },
         ] {
-            assert_ne!(base, other.key());
+            assert_ne!(spec(bingo.clone()).key(), other.key());
         }
         // Chaos and SLO-override runs have no key form at all.
         let chaotic = CellSpec {

@@ -12,7 +12,9 @@ use std::io::{BufReader, BufWriter};
 
 use bingo_repro::prefetcher::{Bingo, BingoConfig, EventKind, SpatialProfiler};
 use bingo_repro::sim::{Instr, NoPrefetcher, Prefetcher, System, SystemConfig};
-use bingo_repro::trace::{Policy, ReplaySource, TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS};
+use bingo_repro::trace::{
+    capture_source, Policy, ReplaySource, TraceReader, DEFAULT_CHUNK_RECORDS,
+};
 use bingo_repro::workloads::Workload;
 
 fn main() {
@@ -22,13 +24,8 @@ fn main() {
     let path = dir.join("data-serving.btrc");
     let mut sources = Workload::DataServing.sources(1, 42);
     let file = BufWriter::new(File::create(&path).expect("create trace file"));
-    let mut writer = TraceWriter::new(file, DEFAULT_CHUNK_RECORDS).expect("write trace header");
-    for _ in 0..400_000 {
-        writer
-            .push(sources[0].next_instr())
-            .expect("write trace record");
-    }
-    let records = writer.finish().expect("finish trace");
+    let records = capture_source(&mut *sources[0], 400_000, DEFAULT_CHUNK_RECORDS, file)
+        .expect("capture trace");
     let bytes = std::fs::metadata(&path).expect("stat trace").len();
     println!(
         "captured {records} instructions: {} KB in {}",
