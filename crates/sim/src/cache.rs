@@ -1,5 +1,5 @@
-//! Set-associative cache model with MSHRs, pluggable replacement, and
-//! per-line prefetch attribution.
+//! Set-associative cache model with MSHRs, LRU replacement, and per-line
+//! prefetch attribution.
 //!
 //! A cache tracks two populations of blocks:
 //!
@@ -18,18 +18,6 @@ use crate::addr::BlockAddr;
 use crate::config::CacheConfig;
 use crate::openmap::OpenMap;
 use crate::stats::CacheStats;
-
-/// Replacement policy for victim selection within a set.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// Least-recently-used (the paper's baseline policy).
-    #[default]
-    Lru,
-    /// First-in-first-out (insertion order).
-    Fifo,
-    /// Pseudo-random (deterministic xorshift).
-    Random,
-}
 
 /// Outcome of a demand lookup.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -90,13 +78,16 @@ struct PendingFill {
 /// (s+1)*ways`), touching the flag/recency columns only on a match. The
 /// MSHR file is an [`OpenMap`] pre-sized to the MSHR count, so the hot
 /// path never hashes through SipHash or allocates.
+///
+/// Replacement is LRU: the victim is the way with the oldest `last_touch`
+/// stamp. Invalid ways hold stamp 0 and valid ones at least 1, so the
+/// first invalid way of a set, when there is one, is the victim.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
     tags: Vec<u64>,
     flags: Vec<u8>,
     last_touch: Vec<u64>,
-    inserted: Vec<u64>,
     set_mask: u64,
     /// `banks - 1` when the bank count is a power of two, letting
     /// [`Cache::bank_start`] — on the path retried every cycle by a
@@ -109,8 +100,6 @@ pub struct Cache {
     pending_prefetches: usize,
     bank_free: Vec<u64>,
     stamp: u64,
-    rng_state: u64,
-    policy: ReplacementPolicy,
     /// Statistics; reset with [`Cache::reset_stats`].
     pub stats: CacheStats,
 }
@@ -122,15 +111,6 @@ impl Cache {
     ///
     /// Panics if the configuration implies a non-power-of-two set count.
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::with_policy(cfg, ReplacementPolicy::Lru)
-    }
-
-    /// Creates a cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration implies a non-power-of-two set count.
-    pub fn with_policy(cfg: CacheConfig, policy: ReplacementPolicy) -> Self {
         let sets = cfg.sets();
         let lines = sets * cfg.ways;
         Cache {
@@ -140,15 +120,12 @@ impl Cache {
             // into pre-measurement accounting.
             flags: vec![flag::MEASURED; lines],
             last_touch: vec![0; lines],
-            inserted: vec![0; lines],
             set_mask: sets as u64 - 1,
             bank_mask: cfg.banks.is_power_of_two().then(|| cfg.banks as u64 - 1),
             pending: OpenMap::with_capacity(cfg.mshrs),
             pending_prefetches: 0,
             bank_free: vec![0; cfg.banks],
             stamp: 0,
-            rng_state: 0x9e37_79b9_7f4a_7c15,
-            policy,
             stats: CacheStats::default(),
         }
     }
@@ -273,11 +250,6 @@ impl Cache {
             .is_some_and(|e| e.prefetch && !e.demanded)
     }
 
-    /// Ready cycle of the earliest in-flight fill: when an MSHR next frees.
-    pub(crate) fn next_fill_ready(&self) -> Option<u64> {
-        self.pending.min_by(|e| e.ready)
-    }
-
     /// Number of in-flight fills (MSHR occupancy).
     pub fn mshr_occupancy(&self) -> usize {
         self.pending.len()
@@ -358,15 +330,9 @@ impl Cache {
         }
         let stamp = self.next_stamp();
         let base = self.set_index(block) * self.cfg.ways;
-
-        // Prefer an invalid way.
-        let victim_idx = if let Some(i) =
-            (base..base + self.cfg.ways).find(|&i| self.flags[i] & flag::VALID == 0)
-        {
-            i
-        } else {
-            self.pick_victim(base)
-        };
+        let victim_idx = (base..base + self.cfg.ways)
+            .min_by_key(|&i| self.last_touch[i])
+            .expect("cache sets are never empty");
         let vf = self.flags[victim_idx];
         let evicted = if vf & flag::VALID != 0 {
             self.stats.evictions += 1;
@@ -393,7 +359,6 @@ impl Cache {
             | if entry.prefetch { flag::PREFETCHED } else { 0 }
             | if entry.demanded { flag::DEMANDED } else { 0 };
         self.last_touch[victim_idx] = stamp;
-        self.inserted[victim_idx] = stamp;
         crate::audit_assert!(
             victim_idx >= base && victim_idx < base + self.cfg.ways,
             "set structure invariant: victim index {} outside set at {}..{}",
@@ -402,27 +367,6 @@ impl Cache {
             base + self.cfg.ways
         );
         evicted
-    }
-
-    fn pick_victim(&mut self, base: usize) -> usize {
-        let ways = base..base + self.cfg.ways;
-        match self.policy {
-            ReplacementPolicy::Lru => ways
-                .min_by_key(|&i| self.last_touch[i])
-                .expect("cache sets are never empty"),
-            ReplacementPolicy::Fifo => ways
-                .min_by_key(|&i| self.inserted[i])
-                .expect("cache sets are never empty"),
-            ReplacementPolicy::Random => {
-                // xorshift64*
-                let mut x = self.rng_state;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng_state = x;
-                base + (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % self.cfg.ways as u64) as usize
-            }
-        }
     }
 
     /// Marks a resident line dirty (used for writebacks arriving from an
@@ -448,7 +392,6 @@ impl Cache {
         self.tags[i] = 0;
         self.flags[i] = flag::MEASURED;
         self.last_touch[i] = 0;
-        self.inserted[i] = 0;
         Some(dirty)
     }
 
@@ -696,21 +639,30 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_evicts_oldest_insertion() {
-        let cfg = CacheConfig {
-            size_bytes: 512,
-            ways: 2,
+    fn fill_takes_an_invalidated_way_before_the_lru_line() {
+        // 4 sets x 4 ways: set 0 holds blocks 0, 4, 8, 12, ...
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 1024,
+            ways: 4,
             latency: 1,
             mshrs: 4,
             banks: 1,
-        };
-        let mut c = Cache::with_policy(cfg, ReplacementPolicy::Fifo);
-        fill_now(&mut c, 0);
-        fill_now(&mut c, 4);
-        // Touch block 0: with LRU, 4 would be the victim; FIFO still evicts 0.
-        c.demand_access(BlockAddr::new(0), 10, false);
-        c.allocate_fill(BlockAddr::new(8), 20, false);
-        let ev = c.complete_fill(BlockAddr::new(8), false).expect("eviction");
+        });
+        for b in [0, 4, 8, 12] {
+            fill_now(&mut c, b);
+        }
+        // Block 0 is the LRU line; invalidate a middle way instead.
+        assert_eq!(c.invalidate(BlockAddr::new(8)), Some(false));
+        c.allocate_fill(BlockAddr::new(16), 0, false);
+        assert_eq!(c.complete_fill(BlockAddr::new(16), false), None);
+        for b in [0, 4, 12, 16] {
+            assert!(c.probe(BlockAddr::new(b)), "block {b} must be resident");
+        }
+        // The set is full again: the next fill evicts the LRU line.
+        c.allocate_fill(BlockAddr::new(20), 0, false);
+        let ev = c
+            .complete_fill(BlockAddr::new(20), false)
+            .expect("eviction");
         assert_eq!(ev.block, BlockAddr::new(0));
     }
 }

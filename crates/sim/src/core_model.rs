@@ -15,6 +15,7 @@ use std::collections::BinaryHeap;
 use crate::addr::{Addr, BlockAddr, CoreId, Pc};
 use crate::config::CoreConfig;
 use crate::memory::{IssueResult, MemorySystem};
+use crate::rob::Rob;
 use crate::stats::CoreStats;
 
 /// One dynamic instruction.
@@ -91,13 +92,9 @@ impl<F: FnMut() -> Instr> InstrSource for F {
 pub struct OooCore {
     id: CoreId,
     cfg: CoreConfig,
-    /// Completion cycles of in-flight instructions, in program order: a
-    /// power-of-two ring buffer (head + length + mask), cheaper on the
-    /// per-instruction push/pop pair than a `VecDeque`.
-    rob: Box<[u64]>,
-    rob_head: usize,
-    rob_len: usize,
-    rob_mask: usize,
+    /// In-flight instructions in program order, as run lengths of ready
+    /// ops/stores between loads (see [`Rob`]).
+    rob: Rob,
     /// Instruction that failed to dispatch last cycle, retried first.
     stalled: Option<Instr>,
     /// Whether the current stall came from the LSQ-occupancy check rather
@@ -128,10 +125,7 @@ impl OooCore {
         OooCore {
             id,
             cfg,
-            rob: vec![0; cfg.rob_entries.next_power_of_two()].into_boxed_slice(),
-            rob_head: 0,
-            rob_len: 0,
-            rob_mask: cfg.rob_entries.next_power_of_two() - 1,
+            rob: Rob::new(cfg.rob_entries),
             stalled: None,
             lsq_stall: false,
             store_queue: BinaryHeap::new(),
@@ -154,12 +148,6 @@ impl OooCore {
         self.warmed = warmup == 0;
         self.boundary = if self.warmed { self.target } else { warmup };
         self.done = self.warmed && self.target == 0;
-    }
-
-    #[inline(always)]
-    fn rob_push(&mut self, done_at: u64) {
-        self.rob[(self.rob_head + self.rob_len) & self.rob_mask] = done_at;
-        self.rob_len += 1;
     }
 
     /// Whether the core has passed its warmup window.
@@ -185,49 +173,48 @@ impl OooCore {
         }
         self.stats.cycles = (now + 1).saturating_sub(self.cycle_offset);
 
-        // Retire in order.
+        // Retire in order. Crossing the warmup boundary resets the
+        // statistics mid-cycle, so each batch stops at the boundary.
         let mut retired = 0;
-        while retired < self.cfg.retire_width {
-            if self.rob_len == 0 || self.rob[self.rob_head] > now {
+        loop {
+            let to_boundary = (self.boundary - self.stats.instructions)
+                .min(self.cfg.retire_width as u64) as usize;
+            let n = self
+                .rob
+                .retire(now, (self.cfg.retire_width - retired).min(to_boundary));
+            self.stats.instructions += n as u64;
+            retired += n;
+            if self.stats.instructions < self.boundary {
                 break;
             }
-            self.rob_head = (self.rob_head + 1) & self.rob_mask;
-            self.rob_len -= 1;
-            self.stats.instructions += 1;
-            retired += 1;
-            if self.stats.instructions >= self.boundary {
-                if !self.warmed {
-                    self.warmed = true;
-                    self.cycle_offset = now;
-                    self.stats = CoreStats {
-                        cycles: 1,
-                        ..CoreStats::default()
-                    };
-                    self.boundary = self.target;
-                    if self.target == 0 {
-                        self.done = true;
-                        return true;
-                    }
-                } else {
-                    self.done = true;
-                    return true;
-                }
+            if self.warmed {
+                self.done = true;
+                return true;
+            }
+            self.warmed = true;
+            self.cycle_offset = now;
+            self.stats = CoreStats {
+                cycles: 1,
+                ..CoreStats::default()
+            };
+            self.boundary = self.target;
+            if self.target == 0 {
+                self.done = true;
+                return true;
             }
         }
 
         // Dispatch in order.
         let mut dispatched = 0;
-        while dispatched < self.cfg.width && self.rob_len < self.cfg.rob_entries {
+        while dispatched < self.cfg.width && self.rob.len() < self.cfg.rob_entries {
             // Batch path: a leading run of ops dispatches without the
             // per-instruction source round-trip. Ops never stall, so this
             // is exactly `n` iterations of the general path below.
             if self.stalled.is_none() {
-                let room = (self.cfg.width - dispatched).min(self.cfg.rob_entries - self.rob_len);
+                let room = (self.cfg.width - dispatched).min(self.cfg.rob_entries - self.rob.len());
                 let n = src.take_ops(room);
                 if n > 0 {
-                    for _ in 0..n {
-                        self.rob_push(now + 1);
-                    }
+                    self.rob.push_ready(n);
                     dispatched += n;
                     continue;
                 }
@@ -238,7 +225,7 @@ impl OooCore {
             };
             match instr {
                 Instr::Op => {
-                    self.rob_push(now + 1);
+                    self.rob.push_ready(1);
                 }
                 Instr::Load { pc, addr, dep } => {
                     // A load whose producer (chain tail) has not completed
@@ -258,7 +245,7 @@ impl OooCore {
                     };
                     match mem.load(self.id, pc, addr, issue_at) {
                         IssueResult::Done(t) => {
-                            self.rob_push(t);
+                            self.rob.push_load(t);
                             if let Some(chain) = dep {
                                 self.chain_done[chain as usize] = t;
                             }
@@ -285,7 +272,7 @@ impl OooCore {
                     match mem.store(self.id, pc, addr, now) {
                         IssueResult::Done(t) => {
                             self.store_queue.push(Reverse(t));
-                            self.rob_push(now + 1);
+                            self.rob.push_ready(1);
                             self.stats.stores += 1;
                         }
                         IssueResult::Stall => {
@@ -350,9 +337,10 @@ impl OooCore {
             // Ops never stall; treat defensively as active.
             Some(Instr::Op) => None,
             // ROB-full without a stall: the head's retirement reopens
-            // dispatch, so that cycle must be stepped.
-            None if self.rob_len == self.cfg.rob_entries => Some(CorePlan {
-                wake: self.rob[self.rob_head],
+            // dispatch, so that cycle must be stepped. An op or store at
+            // the head retires next cycle: no window to skip.
+            None if self.rob.len() == self.cfg.rob_entries => Some(CorePlan {
+                wake: self.rob.head_load().unwrap_or(now + 1),
                 retry: None,
             }),
             None => None,
@@ -366,27 +354,7 @@ impl OooCore {
     /// earlier than its completion cycle.
     fn retire_horizon(&self, next: u64) -> u64 {
         let needed = self.boundary.saturating_sub(self.stats.instructions);
-        if (self.rob_len as u64) < needed {
-            return u64::MAX;
-        }
-        let mut cycle = next;
-        let mut used = 0;
-        for j in 0..self.rob_len {
-            if used == self.cfg.retire_width {
-                cycle += 1;
-                used = 0;
-            }
-            let ready = self.rob[(self.rob_head + j) & self.rob_mask];
-            if ready > cycle {
-                cycle = ready;
-                used = 0;
-            }
-            used += 1;
-            if (j as u64) + 1 == needed {
-                return cycle;
-            }
-        }
-        u64::MAX
+        self.rob.horizon(next, self.cfg.retire_width, needed)
     }
 
     /// Replays the retirements a stalled core performs over the skipped
@@ -396,26 +364,8 @@ impl OooCore {
     ///
     /// [`retire_horizon`]: Self::retire_horizon
     pub(crate) fn apply_retirements(&mut self, next: u64, wake: u64) {
-        let mut cycle = next;
-        let mut used = 0;
-        while self.rob_len > 0 {
-            if used == self.cfg.retire_width {
-                cycle += 1;
-                used = 0;
-            }
-            let ready = self.rob[self.rob_head];
-            if ready > cycle {
-                cycle = ready;
-                used = 0;
-            }
-            if cycle >= wake {
-                break;
-            }
-            self.rob_head = (self.rob_head + 1) & self.rob_mask;
-            self.rob_len -= 1;
-            self.stats.instructions += 1;
-            used += 1;
-        }
+        let n = self.rob.retire_window(next, wake, self.cfg.retire_width);
+        self.stats.instructions += n as u64;
         debug_assert!(
             self.stats.instructions < self.boundary,
             "window retirement crossed a boundary the horizon should have capped"
@@ -452,26 +402,47 @@ impl OooCore {
     /// capped `wake` via [`op_crank_cycles`], so the ops are available and
     /// no warmup/target boundary is crossed.
     ///
+    /// The cost is O(loads in flight), not O(cycles): a cycle that keeps
+    /// the ROB length repeats for as long as the ready entries at the head
+    /// can feed it, so those cycles apply in one step, and a full ROB
+    /// behind an in-flight head load skips straight to its completion.
+    ///
     /// [`step`]: Self::step
     /// [`op_crank_cycles`]: Self::op_crank_cycles
     pub(crate) fn apply_op_crank(&mut self, next: u64, wake: u64) -> usize {
         let mut consumed = 0;
-        for cycle in next..wake {
-            let mut retired = 0;
-            while retired < self.cfg.retire_width
-                && self.rob_len > 0
-                && self.rob[self.rob_head] <= cycle
-            {
-                self.rob_head = (self.rob_head + 1) & self.rob_mask;
-                self.rob_len -= 1;
-                self.stats.instructions += 1;
-                retired += 1;
+        let mut cycle = next;
+        while cycle < wake {
+            let retired = self.rob.retire(cycle, self.cfg.retire_width);
+            let room = self.cfg.width.min(self.cfg.rob_entries - self.rob.len());
+            self.rob.push_ready(room);
+            cycle += 1;
+            // A cycle that kept the ROB length repeats exactly while the
+            // ready run at the head can feed it: with only ops and stores
+            // in flight, to the end of the window; otherwise while
+            // full-width retirement stays short of the first load.
+            let repeats = if retired != room {
+                0
+            } else if self.rob.all_ready() {
+                (wake - cycle) as usize
+            } else if retired == self.cfg.retire_width {
+                (self.rob.head_run() / retired).min((wake - cycle) as usize)
+            } else {
+                0
+            };
+            self.rob.push_ready(room * repeats);
+            let bulk = self.rob.retire(cycle, retired * repeats);
+            debug_assert_eq!(bulk, retired * repeats, "the head run feeds every repeat");
+            self.stats.instructions += (retired * (1 + repeats)) as u64;
+            consumed += room * (1 + repeats);
+            cycle += repeats as u64;
+            if retired == 0 && room == 0 {
+                // Full behind an in-flight head load: every cycle until
+                // it completes would retire and dispatch nothing.
+                if let Some(done) = self.rob.head_load() {
+                    cycle = cycle.max(done).min(wake);
+                }
             }
-            let room = self.cfg.width.min(self.cfg.rob_entries - self.rob_len);
-            for _ in 0..room {
-                self.rob_push(cycle + 1);
-            }
-            consumed += room;
         }
         debug_assert!(
             self.stats.instructions < self.boundary,

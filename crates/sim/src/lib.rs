@@ -55,17 +55,19 @@ pub mod config;
 pub mod core_model;
 pub mod dram;
 pub mod fault;
+mod fill_queue;
 pub mod memory;
 pub mod openmap;
 pub mod prefetch;
 pub mod replay;
+mod rob;
 pub mod stats;
 pub mod system;
 pub mod telemetry;
 pub mod throttle;
 
 pub use addr::{Addr, BlockAddr, CoreId, Pc, RegionGeometry, RegionId, BLOCK_BYTES, BLOCK_SHIFT};
-pub use cache::{Cache, Evicted, Lookup, ReplacementPolicy};
+pub use cache::{Cache, Evicted, Lookup};
 pub use chaos::{AppliedPerturbation, ChaosInjector, ChaosKind, ChaosPlan, PhaseFlipSource};
 pub use config::{CacheConfig, CoreConfig, DramConfig, SystemConfig};
 pub use core_model::{Instr, InstrSource, OooCore};

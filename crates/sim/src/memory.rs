@@ -8,19 +8,22 @@
 //!    back-pressure that limits memory-level parallelism).
 //! 3. LLC lookup at `now + l1.latency`. Hit → data at `+ llc.latency`.
 //! 4. LLC miss: needs an LLC MSHR; request goes to DRAM; the fill lands at
-//!    the cycle the DRAM model returns and is installed by the event queue.
+//!    the cycle the DRAM model returns.
+//!
+//! Every in-flight fill, at the LLC or an L1, waits in a [`FillQueue`]
+//! until [`MemorySystem::tick`] reaches its ready cycle and installs it.
+//! The queue is a calendar: one bucket per cycle over a fixed horizon, so
+//! scheduling and landing a fill cost O(1) instead of a heap's O(log n).
 //!
 //! Prefetchers observe every successful LLC demand access and may emit
 //! candidate blocks, which are deduplicated against resident/in-flight
 //! blocks, rate-limited by prefetch-eligible MSHRs, and sent to DRAM.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::addr::{Addr, BlockAddr, CoreId, Pc};
 use crate::cache::{Cache, Lookup};
 use crate::config::SystemConfig;
 use crate::dram::Dram;
+use crate::fill_queue::FillQueue;
 use crate::prefetch::{AccessInfo, Prefetcher};
 use crate::stats::{CacheStats, QosReport};
 use crate::telemetry::{
@@ -62,8 +65,12 @@ pub struct MemorySystem {
     llc: Cache,
     dram: Dram,
     prefetchers: Vec<Box<dyn Prefetcher>>,
-    fills: BinaryHeap<Reverse<(u64, u64, FillLevel, u64)>>, // (ready, seq, level, block)
-    fill_seq: u64,
+    fills: FillQueue<(FillLevel, u64)>, // (level, block)
+    /// Per core, the ready cycles of its in-flight L1 fills in descending
+    /// order: the last is when its L1 next frees an MSHR, known without a
+    /// scan of the MSHR file. Fills land in ready order, so landing pops
+    /// the last.
+    l1_ready: Vec<Vec<u64>>,
     pf_buf: Vec<BlockAddr>,
     ledger: PrefetchLedger,
     /// `None` when `BINGO_THROTTLE=off`: the hot path then pays a single
@@ -99,8 +106,8 @@ impl MemorySystem {
             llc: Cache::new(cfg.llc),
             dram: Dram::new(cfg.dram),
             prefetchers,
-            fills: BinaryHeap::with_capacity(64),
-            fill_seq: 0,
+            fills: FillQueue::new(),
+            l1_ready: vec![Vec::with_capacity(cfg.l1d.mshrs); cfg.cores],
             pf_buf: Vec::with_capacity(64),
             ledger: PrefetchLedger::new(TelemetryLevel::Off),
             throttle: None,
@@ -294,53 +301,58 @@ impl MemorySystem {
     /// rules, see [`crate::System`]).
     ///
     /// On most cycles nothing is due; that check inlines into the caller's
-    /// loop as a single heap peek, with the landing logic kept out of line.
+    /// loop as a single compare against the queue's cached earliest ready
+    /// cycle, with the landing logic kept out of line.
     #[inline]
     pub fn tick(&mut self, now: u64) {
-        if matches!(self.fills.peek(), Some(&Reverse((ready, _, _, _))) if ready <= now) {
+        if self.fills.next_ready() <= now {
             self.tick_due(now);
         }
     }
 
     #[inline(never)]
     fn tick_due(&mut self, now: u64) {
-        while let Some(&Reverse((ready, _, _, _))) = self.fills.peek() {
-            if ready > now {
-                break;
-            }
-            let Reverse((_, _, level, block)) = self.fills.pop().expect("peeked entry exists");
-            let block = BlockAddr::new(block);
-            match level {
-                FillLevel::Llc => {
-                    if let Some(evicted) = self.llc.complete_fill(block, false) {
-                        if evicted.dirty {
-                            self.dram.write(evicted.block, ready);
-                        }
-                        if evicted.unused_prefetch {
-                            self.ledger.evicted_unused(evicted.block.index(), ready);
-                            if let Some(pt) = self.percore.as_mut() {
-                                pt.note_pf_evicted_unused(evicted.block.index());
-                            }
-                        }
-                        for pf in &mut self.prefetchers {
-                            pf.on_eviction(evicted.block);
+        while let Some((ready, (level, block))) = self.fills.pop_due(now) {
+            self.land(ready, level, block);
+        }
+    }
+
+    /// Installs one fill at its ready cycle, with its writebacks, ledger
+    /// settlement and prefetcher notifications.
+    fn land(&mut self, ready: u64, level: FillLevel, block: u64) {
+        let block = BlockAddr::new(block);
+        match level {
+            FillLevel::Llc => {
+                if let Some(evicted) = self.llc.complete_fill(block, false) {
+                    if evicted.dirty {
+                        self.dram.write(evicted.block, ready);
+                    }
+                    if evicted.unused_prefetch {
+                        self.ledger.evicted_unused(evicted.block.index(), ready);
+                        if let Some(pt) = self.percore.as_mut() {
+                            pt.note_pf_evicted_unused(evicted.block.index());
                         }
                     }
-                    // Settle the ledger record, if this fill was a prefetch.
-                    self.ledger.filled(block.index(), ready);
-                    // Notify fill observers (e.g. SPP's filter learns fills).
                     for pf in &mut self.prefetchers {
-                        pf.on_fill(block, false);
+                        pf.on_eviction(evicted.block);
                     }
                 }
-                FillLevel::L1 { core } => {
-                    if let Some(evicted) = self.l1s[core].complete_fill(block, false) {
-                        if evicted.dirty {
-                            // Writeback to LLC: mark dirty if resident, else
-                            // spill to DRAM bandwidth.
-                            if !self.llc.mark_dirty(evicted.block) {
-                                self.dram.write(evicted.block, ready);
-                            }
+                // Settle the ledger record, if this fill was a prefetch.
+                self.ledger.filled(block.index(), ready);
+                // Notify fill observers (e.g. SPP's filter learns fills).
+                for pf in &mut self.prefetchers {
+                    pf.on_fill(block, false);
+                }
+            }
+            FillLevel::L1 { core } => {
+                let earliest = self.l1_ready[core].pop();
+                debug_assert_eq!(earliest, Some(ready), "L1 fills land in ready order");
+                if let Some(evicted) = self.l1s[core].complete_fill(block, false) {
+                    if evicted.dirty {
+                        // Writeback to LLC: mark dirty if resident, else
+                        // spill to DRAM bandwidth.
+                        if !self.llc.mark_dirty(evicted.block) {
+                            self.dram.write(evicted.block, ready);
                         }
                     }
                 }
@@ -351,13 +363,13 @@ impl MemorySystem {
     /// Ready cycle of the earliest outstanding fill, if any — the memory
     /// system's next externally visible event.
     pub(crate) fn next_fill_ready(&self) -> Option<u64> {
-        self.fills.peek().map(|&Reverse((ready, _, _, _))| ready)
+        Some(self.fills.next_ready()).filter(|&ready| ready != u64::MAX)
     }
 
     /// Ready cycle of `core`'s earliest in-flight L1 fill — when its L1
     /// frees an MSHR, since only its own fills land in its L1.
     pub(crate) fn next_l1_fill_ready(&self, core: usize) -> Option<u64> {
-        self.l1s[core].next_fill_ready()
+        self.l1_ready[core].last().copied()
     }
 
     /// Level of `core`'s most recent demand stall (see [`StallLevel`]).
@@ -390,9 +402,7 @@ impl MemorySystem {
     }
 
     fn schedule_fill(&mut self, level: FillLevel, block: BlockAddr, ready: u64) {
-        self.fill_seq += 1;
-        self.fills
-            .push(Reverse((ready, self.fill_seq, level, block.index())));
+        self.fills.push(ready, (level, block.index()));
     }
 
     /// Issues a load; returns its completion cycle or a stall.
@@ -488,6 +498,9 @@ impl MemorySystem {
             self.l1s[core.0].mark_pending_dirty(block);
         }
         self.schedule_fill(FillLevel::L1 { core: core.0 }, block, data_ready);
+        let pending = &mut self.l1_ready[core.0];
+        let at = pending.partition_point(|&r| r > data_ready);
+        pending.insert(at, data_ready);
 
         // Train + trigger the core's prefetcher on this LLC access.
         self.run_prefetcher(core, pc, addr, is_write, llc_hit, t_llc);
@@ -648,7 +661,7 @@ impl MemorySystem {
     /// measurement window.
     pub fn drain(&mut self) -> u64 {
         let mut last = 0;
-        while let Some(&Reverse((ready, _, _, _))) = self.fills.peek() {
+        while let Some(ready) = self.next_fill_ready() {
             last = ready;
             self.tick(ready);
         }

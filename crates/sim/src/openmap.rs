@@ -12,9 +12,8 @@
 //! gets slower inserts, never a wrong answer.
 //!
 //! The map is deliberately *not* iterable: nothing in the simulator may
-//! depend on hash-table ordering, and offering only lookups and the
-//! order-insensitive [`OpenMap::min_by`] makes that a compile-time
-//! guarantee.
+//! depend on hash-table ordering, and offering only lookups makes that a
+//! compile-time guarantee.
 
 /// An open-addressed `u64 -> V` map with linear probing.
 #[derive(Debug, Clone)]
@@ -60,12 +59,6 @@ impl<V> OpenMap<V> {
                 Some(_) => i = (i + 1) & mask,
             }
         }
-    }
-
-    /// The least of `f` over the live values — an order-insensitive
-    /// reduction, so the map's slot order stays unobservable.
-    pub(crate) fn min_by<K: Ord>(&self, f: impl Fn(&V) -> K) -> Option<K> {
-        self.slots.iter().flatten().map(|(_, v)| f(v)).min()
     }
 
     /// Whether `key` is present.
@@ -164,18 +157,6 @@ mod tests {
         assert_eq!(m.remove(42), Some("b"));
         assert_eq!(m.remove(42), None);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn min_by_tracks_inserts_and_removals() {
-        let mut m = OpenMap::with_capacity(4);
-        assert_eq!(m.min_by(|&v: &u64| v), None);
-        for (k, v) in [(3, 30u64), (9, 10), (5, 20)] {
-            m.insert(k, v);
-        }
-        assert_eq!(m.min_by(|&v| v), Some(10));
-        m.remove(9);
-        assert_eq!(m.min_by(|&v| v), Some(20));
     }
 
     #[test]
