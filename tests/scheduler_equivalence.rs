@@ -2,7 +2,9 @@
 //! once with the run loop's scheduling on (cores sleep until they can
 //! change, their slept cycles replayed in closed form) and once in
 //! lock-step (`with_fast_forward(false)`: every core steps every cycle),
-//! and the two `SimResult`s must be equal field for field.
+//! and the two `SimResult`s must be equal field for field. The
+//! long-running `throttle` group is the exception: it runs scheduled only
+//! and is there for the golden lock below.
 //!
 //! The matrix covers every synthetic and stress workload under no
 //! prefetcher, Bingo and a baseline, at each memory-pressure preset and
@@ -146,6 +148,7 @@ struct Cell {
     sources: Box<dyn Fn() -> Vec<Box<dyn InstrSource>>>,
     kinds: Vec<PrefetcherKind>,
     targets: Vec<u64>,
+    warmup: u64,
     throttle: ThrottleMode,
 }
 
@@ -163,6 +166,7 @@ impl Cell {
             }),
             kinds,
             targets,
+            warmup: WARMUP,
             throttle: ThrottleMode::Off,
         }
     }
@@ -174,7 +178,7 @@ impl Cell {
             self.kinds.iter().map(|k| k.build()).collect(),
             &self.targets,
         )
-        .with_warmup(WARMUP)
+        .with_warmup(self.warmup)
         .with_telemetry(TelemetryLevel::Counts)
         .with_throttle(self.throttle)
         .with_fast_forward(fast_forward)
@@ -254,6 +258,99 @@ fn scheduling_is_bit_for_bit_on_contention_mixes() {
         }
     }
     check_golden("mixes", &cells);
+}
+
+/// Ladders that move: cells long enough past a warm-up that trains Bingo
+/// for its prefetches to be judged, so throttle levels change mid-run and
+/// the lock sees every throttle mode's decisions, not only its attached
+/// bookkeeping. Two-core machines keep the cost down. Each cell must show
+/// its throttle at work: a feedback cell issues fewer prefetches than its
+/// `off` twin, a percore cell degrades or upgrades some core, and the
+/// watchdog cell clamps. Stress Thrash is left out: its prefetches are
+/// accurate, so no ladder ever moves on it.
+///
+/// Unlike the other groups, these cells run only scheduled: at 150 k
+/// instructions per core the lock-step twin costs about six times the
+/// scheduled run in a debug build, and the point here is the golden lock.
+#[test]
+fn scheduling_is_bit_for_bit_while_throttle_ladders_move() {
+    use Workload::*;
+    const LADDER_WARMUP: u64 = 100_000;
+    const LADDER_BUDGET: u64 = 50_000;
+    let mixes = MixConfig::parse_file(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("configs/mixes/contention.mix"),
+    )
+    .expect("committed mixes parse");
+    let polite_vs_storm = mixes
+        .iter()
+        .find(|m| m.name == "polite-vs-storm")
+        .expect("contention.mix declares polite-vs-storm");
+    let slots: Vec<_> = (0..2).map(|c| polite_vs_storm.assignment(c)).collect();
+    let bingo = vec![PrefetcherKind::Bingo; 2];
+    // (label, pressure, workloads, prefetchers, throttle modes)
+    let mut machines = Vec::new();
+    for pressure in [Pressure::CONSTRAINED, Pressure::SCARCE] {
+        for w in [StressStorm, StressChase, StressFlip] {
+            machines.push((
+                format!("{w}/Bingo"),
+                pressure,
+                vec![w; 2],
+                bingo.clone(),
+                true,
+            ));
+        }
+    }
+    machines.push((
+        "polite-vs-storm".to_string(),
+        Pressure::CONSTRAINED,
+        slots.iter().map(|s| s.workload).collect(),
+        slots.iter().map(|s| s.prefetcher).collect(),
+        true,
+    ));
+    // A storm next to a streamer that outpaces it fourfold and draws most
+    // of the prefetch bandwidth: the watchdog's clamp case.
+    machines.push((
+        "stress-flip+streaming/Bingo".to_string(),
+        Pressure::CONSTRAINED,
+        vec![StressFlip, Streaming],
+        bingo.clone(),
+        false,
+    ));
+    let mut cells = Vec::new();
+    let mut clamps = 0;
+    for (name, pressure, workloads, kinds, with_feedback) in machines {
+        let mut cfg = SystemConfig::paper().with_cores(2);
+        pressure.apply(&mut cfg);
+        let run = |throttle: ThrottleMode| {
+            let mut cell = Cell::live(cfg, workloads.clone(), kinds.clone());
+            cell.targets = vec![LADDER_BUDGET; 2];
+            cell.warmup = LADDER_WARMUP;
+            cell.throttle = throttle;
+            let label = format!("{name}/{}/throttle={throttle}", pressure.name);
+            (label, cell.run(true))
+        };
+        let percore = run(ThrottleMode::Percore);
+        let qos = percore.1.qos.as_ref().expect("percore attaches a report");
+        let moves: u64 = qos.cores.iter().map(|c| c.degrades + c.upgrades).sum();
+        assert!(moves > 0, "{}: no per-core ladder moved", percore.0);
+        clamps += qos.watchdog_clamps;
+        cells.push(percore);
+        if with_feedback {
+            let off = run(ThrottleMode::Off);
+            let feedback = run(ThrottleMode::Feedback);
+            assert!(
+                feedback.1.llc.pf_issued < off.1.llc.pf_issued,
+                "{}: feedback issued {} prefetches, no fewer than off's {}",
+                feedback.0,
+                feedback.1.llc.pf_issued,
+                off.1.llc.pf_issued
+            );
+            cells.push(off);
+            cells.push(feedback);
+        }
+    }
+    assert!(clamps > 0, "no cell exercised a watchdog clamp");
+    check_golden("throttle", &cells);
 }
 
 /// A `.btrc` capture replayed through the trace reader, whose op runs
