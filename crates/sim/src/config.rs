@@ -277,9 +277,7 @@ impl SystemConfig {
                 .into());
         }
         if let Some(slo) = self.qos_slo {
-            if !(slo.is_finite() && slo > 0.0 && slo <= 1.0) {
-                return Err(format!("qos_slo must be a ratio in (0, 1], got {slo}"));
-            }
+            crate::throttle::check_qos_slo(slo).map_err(|e| format!("qos_slo {e}"))?;
         }
         Ok(())
     }

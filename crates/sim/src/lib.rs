@@ -85,10 +85,7 @@ pub use telemetry::{
     DropReason, LifecycleEvent, LifecycleEventKind, PrefetchLedger, PrefetchSource, SourceCounters,
     TelemetryLevel, TelemetryReport,
 };
-pub use throttle::{
-    CoreSignals, PercoreThrottle, ThrottleController, ThrottleLevel, ThrottleMode, ThrottleStats,
-    WatchdogStats, DEFAULT_QOS_SLO,
-};
+pub use throttle::{check_qos_slo, ThrottleLevel, ThrottleMode, DEFAULT_QOS_SLO};
 
 /// Asserts an internal invariant, compiled in only under the `audit`
 /// feature.

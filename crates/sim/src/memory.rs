@@ -29,10 +29,7 @@ use crate::stats::{CacheStats, QosReport};
 use crate::telemetry::{
     DropReason, PrefetchLedger, PrefetchSource, TelemetryLevel, TelemetryReport,
 };
-use crate::throttle::{
-    PercoreThrottle, ThrottleController, ThrottleLevel, ThrottleMode, ThrottleStats,
-    DEFAULT_QOS_SLO,
-};
+use crate::throttle::{Throttle, ThrottleLevel, ThrottleMode};
 
 /// Result of issuing a memory operation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -73,13 +70,11 @@ pub struct MemorySystem {
     l1_ready: Vec<Vec<u64>>,
     pf_buf: Vec<BlockAddr>,
     ledger: PrefetchLedger,
-    /// `None` when `BINGO_THROTTLE=off`: the hot path then pays a single
-    /// branch per access, and behavior is bit-for-bit the unthrottled one.
-    throttle: Option<ThrottleController>,
-    /// Per-core throttle + starvation watchdog (`BINGO_THROTTLE=percore`).
-    /// Mutually exclusive with the chip-wide controller above; `None` in
-    /// every other mode, so the percore machinery cannot perturb them.
-    percore: Option<PercoreThrottle>,
+    /// The prefetch throttle, fed at every issue, demand DRAM read, use,
+    /// unused eviction and resolved access. `None` with
+    /// [`ThrottleMode::Off`]: each hook then costs one branch, and
+    /// behavior is bit-for-bit the unthrottled one.
+    throttle: Option<Throttle>,
     /// Per-core level of the most recent demand stall. Fresh whenever a
     /// core is currently mem-stalled (it re-stalled this very cycle).
     stall_level: Vec<StallLevel>,
@@ -111,7 +106,6 @@ impl MemorySystem {
             pf_buf: Vec::with_capacity(64),
             ledger: PrefetchLedger::new(TelemetryLevel::Off),
             throttle: None,
-            percore: None,
             stall_level: vec![StallLevel::L1; cfg.cores],
             cfg,
         }
@@ -124,62 +118,30 @@ impl MemorySystem {
     }
 
     /// Sets the prefetch-throttling mode. Call before running; switching
-    /// modes mid-run restarts the controller from scratch. With
-    /// [`ThrottleMode::Off`] no controller exists at all, so disabled
+    /// modes mid-run restarts the throttle from scratch. With
+    /// [`ThrottleMode::Off`] no throttle exists at all, so disabled
     /// throttling cannot perturb a run.
     pub fn set_throttle(&mut self, mode: ThrottleMode) {
-        self.throttle = None;
-        self.percore = None;
-        if mode == ThrottleMode::Percore {
-            let slo = self.cfg.qos_slo.unwrap_or(DEFAULT_QOS_SLO);
-            self.percore = Some(
-                PercoreThrottle::new(self.cfg.cores, slo)
-                    .with_dram_service_cycles(self.cfg.dram.transfer_cycles),
-            );
-        } else if mode.enabled() {
-            self.throttle = Some(
-                ThrottleController::new(mode)
-                    .with_dram_service_cycles(self.cfg.dram.transfer_cycles),
-            );
-        }
-        if let Some(pt) = self.percore.as_ref() {
-            for (i, pf) in self.prefetchers.iter_mut().enumerate() {
-                pf.set_throttle_level(pt.level(i));
-            }
-        } else {
+        self.throttle = Throttle::new(mode, &self.cfg);
+        self.push_throttle_levels();
+    }
+
+    /// Pushes every core's throttle level to its prefetcher
+    /// ([`ThrottleLevel::Full`] when throttling is off).
+    fn push_throttle_levels(&mut self) {
+        for (core, pf) in self.prefetchers.iter_mut().enumerate() {
             let level = self
                 .throttle
                 .as_ref()
-                .map_or(ThrottleLevel::Full, ThrottleController::level);
-            for pf in &mut self.prefetchers {
-                pf.set_throttle_level(level);
-            }
+                .map_or(ThrottleLevel::Full, |t| t.level(core));
+            pf.set_throttle_level(level);
         }
-    }
-
-    /// The throttle controller's activity counters; `None` when throttling
-    /// is off.
-    pub fn throttle_stats(&self) -> Option<&ThrottleStats> {
-        self.throttle.as_ref().map(|t| &t.stats)
-    }
-
-    /// The current effective throttle level ([`ThrottleLevel::Full`] when
-    /// throttling is off).
-    pub fn throttle_level(&self) -> ThrottleLevel {
-        self.throttle
-            .as_ref()
-            .map_or(ThrottleLevel::Full, ThrottleController::level)
-    }
-
-    /// The per-core throttle, when `BINGO_THROTTLE=percore` is active.
-    pub fn percore_throttle(&self) -> Option<&PercoreThrottle> {
-        self.percore.as_ref()
     }
 
     /// The per-core QoS attribution report; `None` unless the percore
     /// throttle mode is active.
     pub fn qos_report(&self) -> Option<QosReport> {
-        self.percore.as_ref().map(PercoreThrottle::report)
+        self.throttle.as_ref().and_then(Throttle::report)
     }
 
     /// The prefetch-lifecycle ledger (off by default).
@@ -234,10 +196,10 @@ impl MemorySystem {
     }
 
     /// Chaos hook: overrides the DRAM per-transfer occupancy mid-run to
-    /// model a transient bandwidth collapse. The throttle controllers keep
-    /// judging congestion against the *configured* service time, so a
-    /// collapse shows up to them as queueing — exactly how a real
-    /// controller experiences it.
+    /// model a transient bandwidth collapse. The throttle keeps judging
+    /// congestion against the *configured* service time, so a collapse
+    /// shows up to it as queueing — exactly how a real controller
+    /// experiences it.
     pub fn set_dram_transfer_cycles(&mut self, cycles: u64) {
         self.dram.set_transfer_cycles(cycles);
     }
@@ -283,13 +245,9 @@ impl MemorySystem {
         self.llc.reset_stats();
         self.dram.reset_stats();
         self.ledger.on_stats_reset();
-        if let Some(ctrl) = self.throttle.as_mut() {
-            ctrl.on_stats_reset();
-        }
-        // The percore throttle needs no reset hook: its signals are
-        // monotone cumulative counters private to it, and each controller
-        // judges deltas against its own snapshot, so the warmup stats reset
-        // cannot desynchronize it.
+        // The throttle needs no reset hook: its counters are monotone and
+        // private to it, and each domain judges deltas against its own
+        // snapshot, so its epochs run on across the end of warm-up.
     }
 
     /// Lands all fills due at or before `now`, in ready order, each with
@@ -329,8 +287,8 @@ impl MemorySystem {
                     }
                     if evicted.unused_prefetch {
                         self.ledger.evicted_unused(evicted.block.index(), ready);
-                        if let Some(pt) = self.percore.as_mut() {
-                            pt.note_pf_evicted_unused(evicted.block.index());
+                        if let Some(t) = self.throttle.as_mut() {
+                            t.note_pf_evicted_unused(evicted.block.index());
                         }
                     }
                     for pf in &mut self.prefetchers {
@@ -467,8 +425,8 @@ impl MemorySystem {
                 }
                 self.llc.stats.demand_misses += 1;
                 let ready = self.dram.read(block, t_llc + self.cfg.llc.latency);
-                if let Some(pt) = self.percore.as_mut() {
-                    pt.note_demand_read(core.0, self.dram.last_read_wait());
+                if let Some(t) = self.throttle.as_mut() {
+                    t.note_demand_read(core.0, self.dram.last_read_wait());
                 }
                 self.llc.allocate_fill(block, ready, false);
                 self.schedule_fill(FillLevel::Llc, block, ready);
@@ -476,10 +434,10 @@ impl MemorySystem {
             }
         };
         if self.llc.stats.pf_useful > pf_useful_before || self.llc.stats.pf_late > pf_late_before {
-            // Credit the core that *issued* the prefetch (owner map), not
+            // The throttle credits the core that *issued* the prefetch, not
             // the core that happened to demand the block.
-            if let Some(pt) = self.percore.as_mut() {
-                pt.note_pf_used(block.index());
+            if let Some(t) = self.throttle.as_mut() {
+                t.note_pf_used(block.index());
             }
         }
         if self.ledger.enabled() {
@@ -513,23 +471,11 @@ impl MemorySystem {
     /// Called only from the two paths where an access *resolves* (L1 hit or
     /// committed miss), never on a `Stall` return: a stalled access is
     /// retried every cycle, and counting retries would tie the epoch length
-    /// to contention — the very thing the controller modulates — instead of
-    /// program progress. The chip-wide controller ignores the core; the
-    /// percore throttle uses it for both the core's own epoch clock and the
-    /// watchdog's progress accounting.
+    /// to contention — the very thing the throttle modulates — instead of
+    /// program progress.
     fn tick_throttle(&mut self, core: usize) {
-        if let Some(ctrl) = self.throttle.as_mut() {
-            if let Some(level) = ctrl.on_access(&self.llc.stats, &self.dram.stats) {
-                for pf in &mut self.prefetchers {
-                    pf.set_throttle_level(level);
-                }
-            }
-        } else if let Some(pt) = self.percore.as_mut() {
-            if pt.on_access(core) {
-                for (i, pf) in self.prefetchers.iter_mut().enumerate() {
-                    pf.set_throttle_level(pt.level(i));
-                }
-            }
+        if self.throttle.as_mut().is_some_and(|t| t.on_access(core)) {
+            self.push_throttle_levels();
         }
     }
 
@@ -635,8 +581,8 @@ impl MemorySystem {
         let ready = self
             .dram
             .read_tagged(block, now + self.cfg.llc.latency, true);
-        if let Some(pt) = self.percore.as_mut() {
-            pt.note_pf_issued(core.0, block.index(), self.dram.last_read_wait());
+        if let Some(t) = self.throttle.as_mut() {
+            t.note_pf_issued(core.0, block.index(), self.dram.last_read_wait());
         }
         self.llc.allocate_fill(block, ready, true);
         self.schedule_fill(FillLevel::Llc, block, ready);
@@ -947,13 +893,11 @@ mod tests {
         };
         let throttled = run(ThrottleMode::Feedback);
         let unthrottled = run(ThrottleMode::Off);
-        assert_eq!(unthrottled.throttle_stats(), None);
-        assert_eq!(unthrottled.throttle_level(), ThrottleLevel::Full);
-        let stats = throttled.throttle_stats().expect("controller attached");
-        assert!(stats.degrades >= 1, "zero accuracy must degrade: {stats:?}");
+        assert!(unthrottled.throttle.is_none());
+        let throttle = throttled.throttle.as_ref().expect("throttle attached");
         assert!(
-            throttled.throttle_level() > ThrottleLevel::Full,
-            "still at full after {stats:?}"
+            throttle.level(0) > ThrottleLevel::Full,
+            "zero accuracy must degrade: {throttle:?}"
         );
         assert!(
             throttled.llc_stats().pf_issued < unthrottled.llc_stats().pf_issued / 2,

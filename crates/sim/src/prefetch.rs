@@ -104,14 +104,14 @@ pub trait Prefetcher {
         Vec::new()
     }
 
-    /// Applies a throttle level pushed by the memory system's
-    /// [`ThrottleController`](crate::throttle::ThrottleController).
+    /// Applies a throttle level pushed by the memory system's throttle
+    /// (see [`crate::throttle`]).
     ///
     /// Implementations must be *strictly subtractive*: at any level the
     /// emitted burst must be a subset (in fact a prefix, or a vote-raised
     /// narrowing) of what the unthrottled prefetcher would emit, and
     /// training/table state must evolve identically. Default: ignored
-    /// (baselines run unthrottled; the controller's level still gates
+    /// (baselines run unthrottled; the throttle's level still gates
     /// nothing for them).
     fn set_throttle_level(&mut self, level: ThrottleLevel) {
         let _ = level;

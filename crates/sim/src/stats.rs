@@ -183,12 +183,12 @@ pub struct CoreQos {
     /// All DRAM reads attributed to this core (demand misses plus its
     /// prefetches).
     pub reads: u64,
-    /// Per-core controller epochs completed.
+    /// Epochs this core's throttle domain judged.
     pub epochs: u64,
-    /// Level degradations this core's controller applied (feedback and
+    /// Level degradations of this core's domain (its own verdicts and
     /// watchdog clamps combined).
     pub degrades: u64,
-    /// Level upgrades this core's controller applied.
+    /// Level upgrades of this core's domain.
     pub upgrades: u64,
     /// The core's final [`ThrottleLevel`] as a ladder index (0 = full,
     /// 3 = stopped).

@@ -217,10 +217,11 @@ impl System {
     /// Enables adaptive prefetch throttling in the given mode.
     ///
     /// With [`ThrottleMode::Off`] this is a no-op — the memory system then
-    /// carries no controller, so the run is bit-for-bit identical to one
+    /// carries no throttle, so the run is bit-for-bit identical to one
     /// that never called this. Throttling is active during warmup too, so
-    /// the controller's learned level (like predictor tables) is warm when
-    /// measurement starts.
+    /// the learned levels (like predictor tables) are warm when
+    /// measurement starts, and its epochs run on across the end of
+    /// warmup.
     pub fn with_throttle(mut self, mode: ThrottleMode) -> Self {
         self.mem.set_throttle(mode);
         self
