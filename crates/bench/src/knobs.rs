@@ -102,12 +102,20 @@ pub const QOS_SLO_ENV: &str = "BINGO_QOS_SLO";
 ///
 /// Panics if the variable is set but is not a finite ratio in `(0, 1]`.
 pub fn qos_slo_from_env() -> Option<f64> {
-    let slo = from_env(QOS_SLO_ENV, "a ratio in (0, 1]", |v| v.parse::<f64>().ok())?;
-    assert!(
-        slo.is_finite() && slo > 0.0 && slo <= 1.0,
-        "{QOS_SLO_ENV} must be a ratio in (0, 1], got {slo}"
-    );
-    Some(slo)
+    std::env::var(QOS_SLO_ENV).ok().map(|v| parse_qos_slo(&v))
+}
+
+/// Parses a [`QOS_SLO_ENV`] value, range-checked by
+/// [`bingo_sim::check_qos_slo`].
+///
+/// # Panics
+///
+/// Panics if `value` is not a finite ratio in `(0, 1]`.
+pub fn parse_qos_slo(value: &str) -> f64 {
+    let slo = parse(QOS_SLO_ENV, value, "a ratio in (0, 1]", |v| {
+        v.parse::<f64>().ok()
+    });
+    bingo_sim::check_qos_slo(slo).unwrap_or_else(|e| panic!("{QOS_SLO_ENV} {e}"))
 }
 
 /// Environment variable gating the chaos cells of the figure binaries:
@@ -191,39 +199,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "BINGO_QOS_SLO must be a ratio in (0, 1], got \"fast\"")]
     fn qos_slo_rejects_non_numeric() {
-        let _: f64 = parse(QOS_SLO_ENV, "fast", "a ratio in (0, 1]", |v| v.parse().ok());
+        parse_qos_slo("fast");
     }
 
     #[test]
     #[should_panic(expected = "BINGO_QOS_SLO must be a ratio in (0, 1], got 0")]
     fn qos_slo_rejects_zero() {
-        // Hermetic mirror of `qos_slo_from_env`'s bounds check: zero parses
-        // as a float and must be caught by the range assert.
-        let slo: f64 = parse(QOS_SLO_ENV, "0", "a ratio in (0, 1]", |v| v.parse().ok());
-        assert!(
-            slo.is_finite() && slo > 0.0 && slo <= 1.0,
-            "{QOS_SLO_ENV} must be a ratio in (0, 1], got {slo}"
-        );
+        parse_qos_slo("0");
     }
 
     #[test]
     #[should_panic(expected = "BINGO_QOS_SLO must be a ratio in (0, 1], got 1.5")]
     fn qos_slo_rejects_above_one() {
-        let slo: f64 = parse(QOS_SLO_ENV, "1.5", "a ratio in (0, 1]", |v| v.parse().ok());
-        assert!(
-            slo.is_finite() && slo > 0.0 && slo <= 1.0,
-            "{QOS_SLO_ENV} must be a ratio in (0, 1], got {slo}"
-        );
+        parse_qos_slo("1.5");
     }
 
     #[test]
     #[should_panic(expected = "BINGO_QOS_SLO must be a ratio in (0, 1], got NaN")]
     fn qos_slo_rejects_nan() {
-        let slo: f64 = parse(QOS_SLO_ENV, "NaN", "a ratio in (0, 1]", |v| v.parse().ok());
-        assert!(
-            slo.is_finite() && slo > 0.0 && slo <= 1.0,
-            "{QOS_SLO_ENV} must be a ratio in (0, 1], got {slo}"
-        );
+        parse_qos_slo("NaN");
+    }
+
+    #[test]
+    fn qos_slo_accepts_the_closed_upper_bound() {
+        assert_eq!(parse_qos_slo(" 1 "), 1.0);
+        assert_eq!(parse_qos_slo("0.25"), 0.25);
     }
 
     #[test]
