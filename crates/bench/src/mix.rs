@@ -967,7 +967,7 @@ end
     }
 
     // Error paths have a dedicated integration suite
-    // (crates/bench/tests/mix_parser.rs); these two lock the torn-file
+    // (tests/mix_parser.rs); these two lock the torn-file
     // and empty-file behavior at the unit level.
     #[test]
     fn torn_file_names_the_open_mix() {
