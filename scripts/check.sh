@@ -26,8 +26,8 @@ cargo test --workspace -q --features audit
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${BINGO_BENCH:-0}" == "1" ]]; then
     echo "==> cargo bench -p bingo-bench (perf trajectory vs BENCH_simulator.json)"
