@@ -12,7 +12,8 @@ use std::hint::black_box;
 
 use bingo::EventKind;
 use bingo_bench::{
-    time_median, BenchWriter, CellSpec, Cores, MixAssignment, MixConfig, PrefetcherKind, RunScale,
+    time_median, BenchWriter, CellSpec, Cores, MixAssignment, MixConfig, PrefetcherKind, RunConfig,
+    RunScale,
 };
 use bingo_sim::{SimResult, SystemConfig};
 use bingo_workloads::Workload;
@@ -170,7 +171,9 @@ fn bench_fig8_2core(writer: &mut Option<BenchWriter>) {
 }
 
 fn main() {
-    let mut writer = BenchWriter::from_env();
+    // `cargo bench` passes `--bench` to `harness = false` targets.
+    let (config, _) = RunConfig::from_process(|args| Ok(args.flag("--bench")));
+    let mut writer = config.bench_writer();
     if let Some(w) = &mut writer {
         // Host-speed reference for bench_compare's normalization.
         w.record_or_die(bingo_bench::calibration_record());

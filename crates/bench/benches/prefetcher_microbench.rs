@@ -10,7 +10,7 @@
 
 use std::hint::black_box;
 
-use bingo_bench::{time_median, BenchRecord, BenchWriter};
+use bingo_bench::{time_median, BenchRecord, BenchWriter, RunConfig};
 
 use bingo::multi_event::{MultiEventConfig, MultiEventPrefetcher};
 use bingo::{Bingo, BingoConfig, Footprint, UnifiedHistoryTable};
@@ -184,7 +184,9 @@ fn bench_history_table(writer: &mut Option<BenchWriter>) {
 }
 
 fn main() {
-    let mut writer = BenchWriter::from_env();
+    // `cargo bench` passes `--bench` to `harness = false` targets.
+    let (config, _) = RunConfig::from_process(|args| Ok(args.flag("--bench")));
+    let mut writer = config.bench_writer();
     if let Some(w) = &mut writer {
         // Host-speed reference for bench_compare's normalization. Both
         // bench binaries record it; the merged file keeps the freshest.

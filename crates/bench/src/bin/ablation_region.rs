@@ -9,7 +9,7 @@
 //! out with [`parallel_map`] directly.
 
 use bingo::{Bingo, BingoConfig};
-use bingo_bench::{default_jobs, geometric_mean, mean, parallel_map, pct, RunScale, Table};
+use bingo_bench::{geometric_mean, mean, parallel_map, pct, RunConfig, RunScale, Table};
 use bingo_sim::{CoverageReport, NoPrefetcher, RegionGeometry, System, SystemConfig};
 use bingo_workloads::Workload;
 
@@ -38,7 +38,8 @@ fn run(w: Workload, region_bytes: Option<u64>, scale: RunScale) -> bingo_sim::Si
 }
 
 fn main() {
-    let scale = RunScale::from_args();
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let scale = config.scale;
     // Cell list: first the per-workload baselines, then (region, workload)
     // in region-major order.
     let mut cells: Vec<(Option<u64>, Workload)> =
@@ -46,7 +47,7 @@ fn main() {
     for &bytes in &REGION_BYTES {
         cells.extend(Workload::ALL.iter().map(|&w| (Some(bytes), w)));
     }
-    let results = parallel_map(default_jobs(), cells.len(), |i| {
+    let results = parallel_map(config.jobs, cells.len(), |i| {
         let (region, w) = cells[i];
         let r = run(w, region, scale);
         match region {

@@ -6,11 +6,11 @@
 //! accumulation table overflows (no cache feedback at all). This ablation
 //! quantifies how much the eviction signal matters.
 //!
-//! The non-paper variant is not expressible as a [`PrefetcherKind`], so
+//! The non-paper variant is not expressible as a [`bingo_bench::PrefetcherKind`], so
 //! the study fans its cells out with [`parallel_map`] directly.
 
 use bingo::{Bingo, BingoConfig};
-use bingo_bench::{default_jobs, geometric_mean, mean, parallel_map, pct, RunScale, Table};
+use bingo_bench::{geometric_mean, mean, parallel_map, pct, RunConfig, RunScale, Table};
 use bingo_sim::{CoverageReport, NoPrefetcher, Prefetcher, System, SystemConfig};
 use bingo_workloads::Workload;
 
@@ -30,7 +30,8 @@ fn run(w: Workload, pf: Option<BingoConfig>, scale: RunScale) -> bingo_sim::SimR
 }
 
 fn main() {
-    let scale = RunScale::from_args();
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let scale = config.scale;
     let variants = [
         ("eviction + overflow (paper)", BingoConfig::paper()),
         (
@@ -48,7 +49,7 @@ fn main() {
     for (_, cfg) in variants {
         cells.extend(Workload::ALL.iter().map(|&w| (Some(cfg), w)));
     }
-    let results = parallel_map(default_jobs(), cells.len(), |i| {
+    let results = parallel_map(config.jobs, cells.len(), |i| {
         let (cfg, w) = cells[i];
         let r = run(w, cfg, scale);
         eprintln!(

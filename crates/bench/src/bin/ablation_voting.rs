@@ -5,14 +5,14 @@
 //! ablation sweeps the threshold from aggressive-union (5%) to strict
 //! intersection (100%), confirming the paper's choice of 20%.
 
-use bingo_bench::{geometric_mean, mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{geometric_mean, mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 const THRESHOLDS: [f64; 6] = [0.05, 0.2, 0.35, 0.5, 0.75, 1.0];
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     // Threshold-major grid: all workloads of one threshold are contiguous.
     let cells: Vec<_> = THRESHOLDS
         .iter()

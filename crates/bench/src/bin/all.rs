@@ -34,7 +34,9 @@ fn main() {
         .parent()
         .unwrap_or_else(|| panic!("executable {} has no parent directory", exe.display()))
         .to_path_buf();
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Parsed here so a malformed knob or flag fails once, up front; the
+    // children parse the same arguments and environment again.
+    let (_, args) = bingo_bench::RunConfig::from_process(|args| Ok(args.all().to_vec()));
     let total = Instant::now();
     let mut timings = Vec::new();
     let mut failures: Vec<(&str, String)> = Vec::new();

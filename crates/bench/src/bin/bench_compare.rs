@@ -2,7 +2,7 @@
 //! and fails (exit 1) on regressions beyond a noise threshold.
 //!
 //! ```text
-//! bench_compare --snapshot BENCH_simulator.json --candidate /tmp/candidate.json [--threshold 0.15]
+//! bench_compare --snapshot BENCH_simulator.json --candidate /tmp/candidate.json
 //! ```
 //!
 //! The regression direction comes from each record's unit: `…/s` units
@@ -22,16 +22,15 @@
 //!   threshold: a real slowdown degrades every pass, while scheduler
 //!   jitter usually spares at least one.
 //!
-//! `BINGO_BENCH_THRESHOLD` overrides the default threshold; the
-//! `--threshold` flag overrides both. A snapshot key missing from the
-//! candidate is a failure (silent coverage loss must not pass the gate);
-//! candidate-only keys are listed as new and do not fail.
+//! `BINGO_BENCH_THRESHOLD` overrides the default threshold of 0.15. A
+//! snapshot key missing from the candidate is a failure (silent coverage
+//! loss must not pass the gate); candidate-only keys are listed as new and
+//! do not fail.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bingo_bench::perf_record::{BENCH_THRESHOLD_ENV, CALIBRATION_KEY};
-use bingo_bench::{load_records, BenchRecord};
+use bingo_bench::{load_records, BenchRecord, ConfigError, RunConfig, CALIBRATION_KEY};
 
 struct Args {
     snapshot: PathBuf,
@@ -39,47 +38,19 @@ struct Args {
     threshold: f64,
 }
 
-fn usage() -> ! {
-    eprintln!("usage: bench_compare --snapshot <file> --candidate <file> [--threshold <fraction>]");
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
-    let mut snapshot = None;
-    let mut candidate = None;
-    let mut threshold = std::env::var(BENCH_THRESHOLD_ENV)
-        .ok()
-        .map(|raw| {
-            raw.parse::<f64>()
-                .unwrap_or_else(|e| panic!("{BENCH_THRESHOLD_ENV}={raw:?}: {e}"))
-        })
-        .unwrap_or(0.15);
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--snapshot" => snapshot = Some(PathBuf::from(value())),
-            "--candidate" => candidate = Some(PathBuf::from(value())),
-            "--threshold" => {
-                let raw = value();
-                threshold = raw
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--threshold {raw:?}: {e}"));
-            }
-            _ => usage(),
+    let (config, (snapshot, candidate)) = RunConfig::from_process(|args| {
+        match (args.value("--snapshot")?, args.value("--candidate")?) {
+            (Some(snapshot), Some(candidate)) => Ok((snapshot, candidate)),
+            _ => Err(ConfigError::new(
+                "usage: bench_compare --snapshot <file> --candidate <file>",
+            )),
         }
-    }
-    let (Some(snapshot), Some(candidate)) = (snapshot, candidate) else {
-        usage()
-    };
-    assert!(
-        (0.0..1.0).contains(&threshold),
-        "threshold must be a fraction in [0, 1), got {threshold}"
-    );
+    });
     Args {
-        snapshot,
-        candidate,
-        threshold,
+        snapshot: PathBuf::from(snapshot),
+        candidate: PathBuf::from(candidate),
+        threshold: config.bench_threshold,
     }
 }
 

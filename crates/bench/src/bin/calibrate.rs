@@ -2,12 +2,12 @@
 //! coverage/speedup sanity for a few prefetchers. Not one of the paper's
 //! figures — a development tool for tuning the workload generators.
 
-use bingo_bench::{pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let kinds = [
         PrefetcherKind::Bingo,
         PrefetcherKind::Sms,

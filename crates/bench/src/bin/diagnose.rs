@@ -1,11 +1,11 @@
 //! Deep diagnostic for one workload+prefetcher pair (development tool).
 
-use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale};
+use bingo_bench::{ParallelHarness, PrefetcherKind, RunConfig};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let cells = [
         (Workload::Em3d, PrefetcherKind::Ampm),
         (Workload::DataServing, PrefetcherKind::Ampm),

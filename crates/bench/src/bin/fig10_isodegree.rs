@@ -5,12 +5,12 @@
 //! The paper's result: aggressiveness buys a little performance and a lot
 //! of overprediction; Bingo still wins.
 
-use bingo_bench::{geometric_mean, mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{geometric_mean, mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let rows = [
         ("BOP-Orig", PrefetcherKind::Bop),
         ("BOP-Aggr", PrefetcherKind::BopAggressive),
@@ -45,7 +45,7 @@ fn main() {
             pct(mean(&ovs)),
         ]);
     }
-    t.write_csv_if_requested("fig10_isodegree");
+    t.write_csv(config.csv.as_deref(), "fig10_isodegree");
     println!(
         "Figure 10. Iso-degree comparison (paper: lifting the degree raises\n\
          SHH coverage slightly and overprediction sharply; Bingo still wins).\n\n{t}"

@@ -6,12 +6,12 @@
 //! probability is the fraction of history lookups that found an entry.
 
 use bingo::EventKind;
-use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let kinds: Vec<PrefetcherKind> = EventKind::LONGEST_FIRST
         .into_iter()
         .map(PrefetcherKind::SingleEvent)
@@ -45,7 +45,7 @@ fn main() {
             pct(mean(&probs)),
         ]);
     }
-    t.write_csv_if_requested("fig2_events");
+    t.write_csv(config.csv.as_deref(), "fig2_events");
     println!(
         "Figure 2. Accuracy and match probability of event heuristics\n\
          (longest event first; paper: accuracy decreases and match\n\

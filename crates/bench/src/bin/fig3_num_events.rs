@@ -5,12 +5,12 @@
 //! The paper's takeaway: the step from one to two events is large, and
 //! returns diminish beyond two — which is why Bingo uses exactly two.
 
-use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let kinds: Vec<PrefetcherKind> = (1..=5).map(PrefetcherKind::MultiEvent).collect();
     let evals = harness.evaluate_all(&Workload::ALL, &kinds);
     let mut t = Table::new(vec!["Events", "Coverage", "Accuracy"]);
@@ -24,7 +24,7 @@ fn main() {
         }
         t.row(vec![n.to_string(), pct(mean(&covs)), pct(mean(&accs))]);
     }
-    t.write_csv_if_requested("fig3_num_events");
+    t.write_csv(config.csv.as_deref(), "fig3_num_events");
     println!(
         "Figure 3. Coverage and accuracy vs. number of events in a\n\
          TAGE-like spatial prefetcher (paper: the 1→2 step dominates).\n\n{t}"

@@ -5,12 +5,12 @@
 //!
 //! The paper reports redundancy from 26% (SAT Solver) to 93% (Mix 2).
 
-use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let cells: Vec<(Workload, PrefetcherKind)> = Workload::ALL
         .iter()
         .map(|&w| (w, PrefetcherKind::MultiEvent(2)))
@@ -41,7 +41,7 @@ fn main() {
         t.row(vec![e.workload.clone(), pct(redundancy), pct(both_frac)]);
     }
     t.row(vec!["Average".to_string(), pct(mean(&all)), String::new()]);
-    t.write_csv_if_requested("fig4_redundancy");
+    t.write_csv(config.csv.as_deref(), "fig4_redundancy");
     println!(
         "Figure 4. Redundancy of naive two-table TAGE metadata: fraction of\n\
          lookups where long and short events predict identically\n\

@@ -1,14 +1,14 @@
 //! Figure 6 — Bingo's miss coverage as a function of history-table entries
 //! (1K to 64K), per workload. The paper picks 16K entries as the knee.
 
-use bingo_bench::{pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 const SIZES: [usize; 7] = [1024, 2048, 4096, 8192, 16384, 32768, 65536];
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let kinds: Vec<PrefetcherKind> = SIZES
         .into_iter()
         .map(PrefetcherKind::BingoEntries)
@@ -24,7 +24,7 @@ fn main() {
         }
         t.row(row);
     }
-    t.write_csv_if_requested("fig6_table_size");
+    t.write_csv(config.csv.as_deref(), "fig6_table_size");
     println!(
         "Figure 6. Bingo miss coverage vs. history-table entries\n\
          (paper: coverage plateaus beyond 16K entries).\n\n{t}"

@@ -4,12 +4,12 @@
 //! The paper reports Bingo covering >63% of misses on average, 8% above
 //! the second-best prefetcher, with overprediction on par with the rest.
 
-use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let evals = harness.evaluate_all(&Workload::ALL, &PrefetcherKind::HEADLINE);
     let mut t = Table::new(vec![
         "Workload",
@@ -46,7 +46,7 @@ fn main() {
             String::new(),
         ]);
     }
-    t.write_csv_if_requested("fig7_coverage");
+    t.write_csv(config.csv.as_deref(), "fig7_coverage");
     println!(
         "Figure 7. Coverage and overprediction of all prefetchers\n\
          (paper: Bingo highest coverage on every workload, >63% average).\n\n{t}"

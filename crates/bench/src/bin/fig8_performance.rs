@@ -4,12 +4,12 @@
 //! The paper reports Bingo at +60% gmean (11% in Zeus to 285% in em3d),
 //! 11% above the best prior spatial prefetcher.
 
-use bingo_bench::{geometric_mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{geometric_mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let evals = harness.evaluate_all(&Workload::ALL, &PrefetcherKind::HEADLINE);
     let mut header = vec!["Workload".to_string()];
     header.extend(PrefetcherKind::HEADLINE.iter().map(|k| k.name()));
@@ -29,7 +29,7 @@ fn main() {
         gmean_row.push(pct(geometric_mean(s) - 1.0));
     }
     t.row(gmean_row);
-    t.write_csv_if_requested("fig8_performance");
+    t.write_csv(config.csv.as_deref(), "fig8_performance");
     println!(
         "Figure 8. Performance improvement over the no-prefetcher baseline\n\
          (paper: Bingo +60% gmean, +11% Zeus, +285% em3d).\n\n{t}"

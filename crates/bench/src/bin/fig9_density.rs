@@ -5,14 +5,14 @@
 //! less than 1% of the performance gain.
 
 use bingo_bench::{
-    geometric_mean, pct, AreaModel, ParallelHarness, PrefetcherKind, RunScale, Table,
+    geometric_mean, pct, AreaModel, ParallelHarness, PrefetcherKind, RunConfig, Table,
 };
 use bingo_sim::SystemConfig;
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let area = AreaModel::default_14nm();
     let cfg = SystemConfig::paper();
     let llc_mb = cfg.llc.size_bytes as f64 / 1024.0 / 1024.0;
@@ -46,7 +46,7 @@ fn main() {
             pct(density),
         ]);
     }
-    t.write_csv_if_requested("fig9_density");
+    t.write_csv(config.csv.as_deref(), "fig9_density");
     println!(
         "Figure 9. Performance-density improvement over the baseline\n\
          (paper: Bingo +59%, within 1% of its raw performance gain).\n\n{t}"

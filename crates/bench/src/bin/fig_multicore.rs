@@ -31,81 +31,59 @@
 //! level with the throttle off and with feedback, and report the polite
 //! core's IPC ratio between the two.
 
-use std::path::PathBuf;
-
 use bingo_bench::{
-    f2, CapacityCell, CapacitySearch, CellSpec, Cores, MixCell, MixConfig, ParallelHarness,
-    Pressure, RunScale, Table,
+    f2, CapacityCell, CapacitySearch, CellSpec, ConfigError, Cores, MixCell, MixConfig,
+    ParallelHarness, Pressure, RunConfig, RunScale, Table,
 };
 use bingo_sim::{SimResult, ThrottleMode};
 
 /// The mix the starvation experiment runs, when selected.
 const STARVATION_MIX: &str = "polite-vs-storm";
 
-/// Values of every `--flag value` occurrence of `flag`.
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    let mut values = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} requires a value"));
-            values.push(v.clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    values
-}
-
-/// The value of the last `--flag value` occurrence, if any.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    flag_values(args, flag).pop()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = RunScale::from_args();
-    let config = flag_value(&args, "--config")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("configs/mixes/contention.mix"));
-    let report_path = flag_value(&args, "--report")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fig_multicore_report.json"));
+    let (run_config, (mix_file, report_path, picked, pressures)) =
+        RunConfig::from_process(|args| {
+            let pressures = args
+                .values("--pressure")?
+                .iter()
+                .map(|name| {
+                    Pressure::LADDER
+                        .into_iter()
+                        .find(|p| p.name == name)
+                        .ok_or_else(|| {
+                            let known: Vec<&str> =
+                                Pressure::LADDER.iter().map(|p| p.name).collect();
+                            let expectation = format!("one of {}", known.join("/"));
+                            ConfigError::invalid("--pressure", &expectation, format!("{name:?}"))
+                        })
+                })
+                .collect::<Result<Vec<Pressure>, ConfigError>>()?;
+            Ok((
+                args.path("--config", "configs/mixes/contention.mix")?,
+                args.path("--report", "target/fig_multicore_report.json")?,
+                args.values("--mix")?,
+                if pressures.is_empty() {
+                    Pressure::LADDER.to_vec()
+                } else {
+                    pressures
+                },
+            ))
+        });
+    let scale = run_config.scale;
 
     let mut mixes =
-        MixConfig::parse_file(&config).unwrap_or_else(|e| panic!("{}: {e}", config.display()));
-    let picked = flag_values(&args, "--mix");
+        MixConfig::parse_file(&mix_file).unwrap_or_else(|e| panic!("{}: {e}", mix_file.display()));
     if !picked.is_empty() {
         for name in &picked {
             assert!(
                 mixes.iter().any(|m| &m.name == name),
                 "unknown mix {name:?}; {} declares: {:?}",
-                config.display(),
+                mix_file.display(),
                 mixes.iter().map(|m| m.name.as_str()).collect::<Vec<_>>()
             );
         }
         mixes.retain(|m| picked.contains(&m.name));
     }
-    let pressure_names = flag_values(&args, "--pressure");
-    let pressures: Vec<Pressure> = if pressure_names.is_empty() {
-        Pressure::LADDER.to_vec()
-    } else {
-        pressure_names
-            .iter()
-            .map(|name| {
-                *Pressure::LADDER
-                    .iter()
-                    .find(|p| p.name == name)
-                    .unwrap_or_else(|| {
-                        let known: Vec<&str> = Pressure::LADDER.iter().map(|p| p.name).collect();
-                        panic!("unknown pressure {name:?}; valid: {known:?}")
-                    })
-            })
-            .collect()
-    };
 
     // One flat grid over every (mix, pressure, ramp step): a single
     // harness call maximizes worker occupancy and dedups shared solos.
@@ -126,7 +104,7 @@ fn main() {
             }
         }
     }
-    let mut harness = ParallelHarness::new(scale);
+    let mut harness = ParallelHarness::new(&run_config);
     let evals = harness.try_evaluate_mix_grid(&cells).into_complete();
 
     // Regroup the flat evaluations into per-(mix, pressure) searches.

@@ -26,52 +26,31 @@
 //! (one JSON line per experiment) lands in `--report` (default
 //! `target/fig_qos_report.json`; CI uploads it as an artifact).
 
-use std::path::PathBuf;
-
-use bingo_bench::{f2, CellSpec, Cores, MixConfig, Pressure, RunScale, Table};
+use bingo_bench::{f2, CellSpec, Cores, MixConfig, Pressure, RunConfig, Table};
 use bingo_sim::{ChaosPlan, SimResult, ThrottleMode};
 
 /// The mix every arm runs: one streaming core behind Bingo, one
 /// stress-storm core whose prefetches are mostly waste.
 const QOS_MIX: &str = "polite-vs-storm";
 
-/// The value of the last `--flag value` occurrence, if any.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} requires a value"));
-            value = Some(v.clone());
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    value
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = RunScale::from_args();
-    let config = flag_value(&args, "--config")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("configs/mixes/contention.mix"));
-    let report_path = flag_value(&args, "--report")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fig_qos_report.json"));
+    let (run_config, (mix_file, report_path)) = RunConfig::from_process(|args| {
+        Ok((
+            args.path("--config", "configs/mixes/contention.mix")?,
+            args.path("--report", "target/fig_qos_report.json")?,
+        ))
+    });
+    let scale = run_config.scale;
 
     let mixes =
-        MixConfig::parse_file(&config).unwrap_or_else(|e| panic!("{}: {e}", config.display()));
+        MixConfig::parse_file(&mix_file).unwrap_or_else(|e| panic!("{}: {e}", mix_file.display()));
     let mix = mixes
         .iter()
         .find(|m| m.name == QOS_MIX)
-        .unwrap_or_else(|| panic!("{} does not declare mix {QOS_MIX:?}", config.display()));
+        .unwrap_or_else(|| panic!("{} does not declare mix {QOS_MIX:?}", mix_file.display()));
     let pressure = Pressure::CONSTRAINED;
-    let qos_slo = bingo_bench::qos_slo_from_env();
-    let chaos_seed = bingo_bench::chaos_seed_from_env();
+    let qos_slo = run_config.qos_slo;
+    let chaos_seed = run_config.chaos_seed;
 
     let run = |throttle: ThrottleMode, chaos: Option<ChaosPlan>| -> SimResult {
         let spec = CellSpec {
@@ -155,7 +134,7 @@ fn main() {
     // Chaos cell: same mix, standard perturbation schedule, percore
     // throttle versus throttle-off under identical chaos. Part of the
     // committed figure, so it runs unless `BINGO_CHAOS=off` skips it.
-    let chaos_cell = if bingo_bench::chaos_from_env() {
+    let chaos_cell = if run_config.chaos {
         let chaos_off = run(ThrottleMode::Off, Some(ChaosPlan::standard(chaos_seed)));
         let chaos_percore = run(ThrottleMode::Percore, Some(ChaosPlan::standard(chaos_seed)));
         let chaos_polite_ratio = chaos_percore.core_ipcs()[0] / chaos_off.core_ipcs()[0];

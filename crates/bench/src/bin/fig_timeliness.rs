@@ -11,50 +11,13 @@
 //!
 //! Telemetry defaults to `counts` here (this binary is *about* telemetry);
 //! `BINGO_TELEMETRY` still overrides, e.g. `trace` for the event ring.
-//! Pass `--workload <name>` (repeatable) to restrict the sweep — the CI
-//! smoke job runs a single cheap workload this way.
+//! Pass `--workload <name>` (repeatable; a slug or paper name, see
+//! [`Workload::from_name`]) to restrict the sweep — the CI smoke job runs a
+//! single cheap workload this way.
 
-use bingo_bench::{f2, mean, pct, ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{f2, mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_sim::{SourceCounters, TelemetryLevel, TelemetryReport};
 use bingo_workloads::Workload;
-
-/// Parses repeated `--workload <name>` arguments (case-insensitive,
-/// spaces in paper names optional: `em3d`, `sat solver`, `SatSolver`).
-/// No filter means every workload.
-///
-/// # Panics
-///
-/// Panics on an unknown workload name, listing the valid ones.
-fn parse_workloads(args: &[String]) -> Vec<Workload> {
-    let mut picked = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--workload" {
-            let name = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--workload requires a name"));
-            let canon = |s: &str| s.replace(' ', "").to_ascii_lowercase();
-            let w = *Workload::ALL
-                .iter()
-                .find(|w| canon(w.name()) == canon(name) || canon(&format!("{w:?}")) == canon(name))
-                .unwrap_or_else(|| {
-                    let names: Vec<&str> = Workload::ALL.iter().map(|w| w.name()).collect();
-                    panic!("unknown workload {name:?}; valid names: {names:?}")
-                });
-            if !picked.contains(&w) {
-                picked.push(w);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if picked.is_empty() {
-        Workload::ALL.to_vec()
-    } else {
-        picked
-    }
-}
 
 fn report(e: &bingo_bench::Evaluation) -> &TelemetryReport {
     e.result
@@ -73,13 +36,11 @@ fn source_timeliness(c: &SourceCounters) -> f64 {
 }
 
 fn main() {
-    let scale = RunScale::from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workloads = parse_workloads(&args);
-    let mut harness = ParallelHarness::new(scale);
-    if !harness.telemetry().enabled() {
-        harness = harness.with_telemetry(TelemetryLevel::Counts);
+    let (mut config, workloads) = RunConfig::from_process(|args| args.workloads(&Workload::ALL));
+    if !config.telemetry.enabled() {
+        config.telemetry = TelemetryLevel::Counts;
     }
+    let mut harness = ParallelHarness::new(&config);
     let evals = harness.evaluate_all(&workloads, &PrefetcherKind::HEADLINE);
 
     let mut t = Table::new(vec![
@@ -150,8 +111,8 @@ fn main() {
         }
     }
 
-    t.write_csv_if_requested("fig_timeliness");
-    s.write_csv_if_requested("fig_timeliness_sources");
+    t.write_csv(config.csv.as_deref(), "fig_timeliness");
+    s.write_csv(config.csv.as_deref(), "fig_timeliness_sources");
     println!(
         "Prefetch lifecycle: timeliness and attribution of every issued\n\
          prefetch (timely + late + unused = issued minus still-in-flight).\n\n{t}"

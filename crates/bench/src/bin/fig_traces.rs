@@ -7,80 +7,33 @@
 //!
 //! Missing captures are recorded on the fly into `DIR` (default
 //! `target/traces/`, the `trace_capture` tool's default) at the current
-//! [`RunScale`], then the (trace × prefetcher) grid runs through
-//! [`ParallelHarness::evaluate_trace_grid`] with per-trace no-prefetcher
-//! baselines. Because capture and replay are bit-for-bit (see the
+//! [`bingo_bench::RunScale`], then the (trace × prefetcher) grid runs
+//! through [`ParallelHarness::evaluate_trace_grid`] with per-trace
+//! no-prefetcher baselines. Because capture and replay are bit-for-bit (see the
 //! `trace_capture --verify` round trip), the numbers here match the
 //! generator-driven Fig. 7/8 sweeps at the same scale — what the figure
 //! *adds* is the ingestion evidence: every row reports how many records
 //! the loader delivered and how many it quarantined, which must be zero
 //! for a pristine corpus.
 
-use std::path::PathBuf;
-
-use bingo_bench::{
-    geometric_mean, pct, trace_chunk_from_env, ParallelHarness, PrefetcherKind, RunScale, Table,
-};
+use bingo_bench::{geometric_mean, pct, ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_sim::SystemConfig;
-use bingo_trace::DEFAULT_CHUNK_RECORDS;
 use bingo_workloads::{capture_workload, TraceWorkload, Workload};
 
 /// Fetch-ahead slack appended to each capture (see `trace_capture`).
 const CAPTURE_SLACK: u64 = 256;
 
-fn parse_workloads(args: &[String]) -> Vec<Workload> {
-    let mut picked = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--workload" {
-            let name = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--workload requires a name"));
-            let canon = |s: &str| s.replace([' ', '-'], "").to_ascii_lowercase();
-            let w = *Workload::ALL
-                .iter()
-                .find(|w| canon(w.slug()) == canon(name) || canon(w.name()) == canon(name))
-                .unwrap_or_else(|| {
-                    let slugs: Vec<&str> = Workload::ALL.iter().map(|w| w.slug()).collect();
-                    panic!("unknown workload {name:?}; valid slugs: {slugs:?}")
-                });
-            if !picked.contains(&w) {
-                picked.push(w);
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    if picked.is_empty() {
-        Workload::ALL.to_vec()
-    } else {
-        picked
-    }
-}
-
-fn parse_traces_dir(args: &[String]) -> PathBuf {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--traces" {
-            return PathBuf::from(
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("--traces requires a directory")),
-            );
-        }
-        i += 1;
-    }
-    PathBuf::from("target/traces")
-}
-
 fn main() {
-    let scale = RunScale::from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workloads = parse_workloads(&args);
-    let root = parse_traces_dir(&args);
+    let (config, (workloads, root)) = RunConfig::from_process(|args| {
+        Ok((
+            args.workloads(&Workload::ALL)?,
+            args.path("--traces", "target/traces")?,
+        ))
+    });
+    let scale = config.scale;
     let cores = SystemConfig::paper().cores;
     let records = scale.warmup_per_core + scale.instructions_per_core + CAPTURE_SLACK;
-    let chunk = trace_chunk_from_env().unwrap_or(DEFAULT_CHUNK_RECORDS);
+    let chunk = config.trace_chunk;
 
     let traces: Vec<TraceWorkload> = workloads
         .iter()
@@ -97,7 +50,7 @@ fn main() {
         })
         .collect();
 
-    let mut harness = ParallelHarness::new(scale);
+    let mut harness = ParallelHarness::new(&config);
     let evals = harness.evaluate_trace_grid(&traces, &PrefetcherKind::HEADLINE);
 
     let mut t = Table::new(vec![
@@ -146,7 +99,7 @@ fn main() {
         ]);
     }
 
-    t.write_csv_if_requested("fig_traces");
+    t.write_csv(config.csv.as_deref(), "fig_traces");
     println!(
         "Recorded-trace replay: headline prefetchers on the captured\n\
          corpus under {} (streamed chunk-at-a-time; quarantined must be 0\n\

@@ -33,6 +33,7 @@ use bingo_bench::differential::{
     bingo_config_variants, diff_bingo_instances, diff_bingo_throttled, fuzz_baseline, fuzz_bingo,
     fuzz_bingo_throttled, FuzzFailure,
 };
+use bingo_bench::RunConfig;
 use bingo_oracle::{
     generate, shrink, BopOracle, GeneratorConfig, NextLineOracle, SmsOracle, SpecBingo,
     StrideOracle,
@@ -54,31 +55,16 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        traces_per_preset: 125,
-        out: PathBuf::from("target/differential"),
-        fault: false,
-        throttle: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--traces" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--traces needs a number");
-                args.traces_per_preset = n.div_ceil(GeneratorConfig::all().len() as u64).max(1);
-            }
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a path")),
-            "--fault" => args.fault = true,
-            "--throttle" => args.throttle = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (_, args) = RunConfig::from_process(|args| {
+        let presets = GeneratorConfig::all().len() as u64;
+        let traces = args.parsed("--traces", "a number", |v| v.parse::<u64>().ok())?;
+        Ok(Args {
+            traces_per_preset: traces.map_or(125, |n| n.div_ceil(presets).max(1)),
+            out: args.path("--out", "target/differential")?,
+            fault: args.flag("--fault"),
+            throttle: args.flag("--throttle"),
+        })
+    });
     args
 }
 

@@ -40,7 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bingo_bench::{CellOutcome, CellSpec, Cores, PrefetcherKind, RunScale, StatsExport};
+use bingo_bench::{CellOutcome, CellSpec, Cores, PrefetcherKind, RunConfig, RunScale, StatsExport};
 use bingo_oracle::shrink_items;
 use bingo_trace::corrupt::drain;
 use bingo_trace::crc32::crc32;
@@ -53,26 +53,13 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        seeds: 500,
-        out: PathBuf::from("target/traces-fuzz"),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                args.seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds needs a number");
-            }
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a path")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (_, args) = RunConfig::from_process(|args| {
+        let seeds = args.parsed("--seeds", "a number", |v| v.parse().ok())?;
+        Ok(Args {
+            seeds: seeds.unwrap_or(500),
+            out: args.path("--out", "target/traces-fuzz")?,
+        })
+    });
     args
 }
 

@@ -25,8 +25,8 @@
 //! `BINGO_STATS` exports each cell's full `SimResult` as JSON lines.
 
 use bingo_bench::{
-    default_jobs, f2, parallel_map, pf_queue_from_env, CellSpec, Cores, MixAssignment, MixConfig,
-    PrefetcherKind, Pressure, RunScale, StatsExport, Table,
+    f2, parallel_map, CellSpec, Cores, MixAssignment, MixConfig, PrefetcherKind, Pressure,
+    RunConfig, RunScale, Table,
 };
 use bingo_sim::{SimResult, ThrottleMode};
 use bingo_workloads::Workload;
@@ -49,7 +49,7 @@ const CONFIGS: [(&str, PrefetcherKind, ThrottleMode); 4] = [
 const TOLERANCE: f64 = 0.05;
 
 fn run_cell(
-    pressure: &Pressure,
+    pressure: Pressure,
     workload: Workload,
     kind: PrefetcherKind,
     throttle: ThrottleMode,
@@ -66,10 +66,6 @@ fn run_cell(
         }],
         ramp: None,
     };
-    let pressure = Pressure {
-        queue: pf_queue_from_env().or(pressure.queue),
-        ..*pressure
-    };
     let spec = CellSpec {
         pressure,
         throttle,
@@ -80,8 +76,8 @@ fn run_cell(
 }
 
 fn main() {
-    let scale = RunScale::from_args();
-    let stats = StatsExport::from_env();
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let stats = config.stats_export();
     let cells: Vec<(usize, Workload, usize)> = PRESSURES
         .iter()
         .enumerate()
@@ -91,10 +87,14 @@ fn main() {
                 .flat_map(move |w| (0..CONFIGS.len()).map(move |ci| (pi, w, ci)))
         })
         .collect();
-    let results = parallel_map(default_jobs(), cells.len(), |i| {
+    let results = parallel_map(config.jobs, cells.len(), |i| {
         let (pi, workload, ci) = cells[i];
         let (_, kind, throttle) = CONFIGS[ci];
-        run_cell(&PRESSURES[pi], workload, kind, throttle, scale)
+        let pressure = Pressure {
+            queue: config.pf_queue.or(PRESSURES[pi].queue),
+            ..PRESSURES[pi]
+        };
+        run_cell(pressure, workload, kind, throttle, config.scale)
     });
     if let Some(export) = &stats {
         for (i, r) in results.iter().enumerate() {
@@ -150,7 +150,7 @@ fn main() {
             ]);
         }
     }
-    t.write_csv_if_requested("stress_degrade");
+    t.write_csv(config.csv.as_deref(), "stress_degrade");
     println!(
         "Graceful degradation under resource pressure\n\
          (speedup over the no-prefetcher baseline; 1.00x = harmless).\n\n{t}"

@@ -2,10 +2,11 @@
 //! Section VI-A (16 K entries → 119 KB, ~6 % of the LLC).
 
 use bingo::BingoConfig;
-use bingo_bench::Table;
+use bingo_bench::{RunConfig, Table};
 use bingo_sim::SystemConfig;
 
 fn main() {
+    RunConfig::from_process(|_| Ok(()));
     let cfg = SystemConfig::paper();
     let mut t = Table::new(vec!["Parameter", "Value"]);
     t.row(vec![

@@ -1,12 +1,12 @@
 //! Table II — application parameters: baseline LLC MPKI of every workload
 //! (no prefetcher), compared against the paper's reported values.
 
-use bingo_bench::{ParallelHarness, PrefetcherKind, RunScale, Table};
+use bingo_bench::{ParallelHarness, PrefetcherKind, RunConfig, Table};
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
-    let mut harness = ParallelHarness::new(scale);
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let mut harness = ParallelHarness::new(&config);
     let baselines = harness.evaluate_all(&Workload::ALL, &[PrefetcherKind::None]);
     let mut t = Table::new(vec!["Application", "Description", "MPKI", "Paper MPKI"]);
     for (w, e) in Workload::ALL.into_iter().zip(&baselines) {
@@ -18,6 +18,6 @@ fn main() {
             format!("{:.1}", w.paper_mpki()),
         ]);
     }
-    t.write_csv_if_requested("table2_workloads");
+    t.write_csv(config.csv.as_deref(), "table2_workloads");
     println!("Table II. Application parameters (baseline LLC MPKI).\n\n{t}");
 }

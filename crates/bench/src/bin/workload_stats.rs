@@ -5,16 +5,17 @@
 //! with no prefetcher or timing model involved.
 
 use bingo::{EventKind, SpatialProfiler};
-use bingo_bench::{default_jobs, parallel_map, pct, RunScale, Table};
+use bingo_bench::{parallel_map, pct, RunConfig, Table};
 use bingo_sim::Instr;
 use bingo_workloads::Workload;
 
 fn main() {
-    let scale = RunScale::from_args();
+    let (config, ()) = RunConfig::from_process(|_| Ok(()));
+    let scale = config.scale;
     let accesses_per_workload = (scale.instructions_per_core / 20).max(10_000);
 
     // Each workload profiles independently; fan them out.
-    let rows = parallel_map(default_jobs(), Workload::ALL.len(), |wi| {
+    let rows = parallel_map(config.jobs, Workload::ALL.len(), |wi| {
         let w = Workload::ALL[wi];
         let mut profiler = SpatialProfiler::new(32, 64);
         let mut sources = w.sources(1, scale.seed);

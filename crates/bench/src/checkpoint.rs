@@ -37,9 +37,6 @@ use bingo_sim::{
     TelemetryReport,
 };
 
-/// Environment variable naming the checkpoint file for CLI sweeps.
-pub const CHECKPOINT_ENV: &str = "BINGO_CHECKPOINT";
-
 /// A durable map from cell key to completed [`SimResult`], backed by an
 /// append-only JSONL file.
 #[derive(Debug)]

@@ -444,7 +444,7 @@ pub fn fuzz_baseline(
 /// # Panics
 ///
 /// Panics if the trace does not actually diverge under `cfg` (see
-/// [`bingo_oracle::shrink`]).
+/// [`bingo_oracle::shrink()`]).
 pub fn shrink_bingo_mismatch(cfg: &BingoConfig, trace: &PrefetchTrace) -> PrefetchTrace {
     shrink(trace, &mut |t| diff_bingo(cfg, t).is_err())
 }

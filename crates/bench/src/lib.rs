@@ -3,7 +3,8 @@
 //! Regenerates every table and figure of the paper's evaluation. Each
 //! binary in `src/bin/` prints one figure's data; `cargo run -p bingo-bench
 //! --release --bin all` regenerates everything. Pass `--quick` for a
-//! reduced instruction budget (CI scale).
+//! reduced instruction budget (CI scale); every knob is listed on
+//! [`RunConfig`].
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -25,8 +26,8 @@
 
 pub mod area;
 pub mod checkpoint;
+pub mod config;
 pub mod differential;
-pub mod knobs;
 pub mod mix;
 pub mod perf_record;
 pub mod runner;
@@ -34,14 +35,11 @@ pub mod stats_export;
 pub mod table;
 
 pub use area::AreaModel;
-pub use checkpoint::{Checkpoint, CHECKPOINT_ENV};
+pub use checkpoint::Checkpoint;
+pub use config::{Args, ConfigError, RunConfig, DEFAULT_CHAOS_SEED};
 pub use differential::{
     bingo_config_variants, diff_bingo, diff_bingo_instances, diff_with_oracle, fuzz_baseline,
     fuzz_bingo, shrink_bingo_mismatch, FuzzFailure, FuzzReport, Mismatch,
-};
-pub use knobs::{
-    chaos_from_env, chaos_seed_from_env, pf_queue_from_env, qos_slo_from_env, trace_chunk_from_env,
-    CHAOS_ENV, CHAOS_SEED_ENV, DEFAULT_CHAOS_SEED, PF_QUEUE_ENV, QOS_SLO_ENV, TRACE_CHUNK_ENV,
 };
 pub use mix::{
     find_knee, CapacityCell, CapacitySearch, FairnessReport, MixAssignment, MixConfig, MixError,
@@ -49,12 +47,11 @@ pub use mix::{
 };
 pub use perf_record::{
     calibration_record, load_records, time_median, BenchRecord, BenchWriter, Sample,
-    BENCH_JSON_ENV, BENCH_MERGE_ENV, BENCH_THRESHOLD_ENV, CALIBRATION_KEY,
+    CALIBRATION_KEY,
 };
 pub use runner::{
-    default_jobs, geometric_mean, mean, parallel_map, telemetry_from_env, throttle_from_env,
-    CellFailure, CellOutcome, CellSpec, Cores, Evaluation, GridReport, MixCell, MixEvaluation,
-    ParallelHarness, PrefetcherKind, RunScale, CELL_TIMEOUT_ENV, TELEMETRY_ENV, THROTTLE_ENV,
+    geometric_mean, mean, parallel_map, CellFailure, CellOutcome, CellSpec, Cores, Evaluation,
+    GridReport, MixCell, MixEvaluation, ParallelHarness, PrefetcherKind, RunScale,
 };
-pub use stats_export::{StatsExport, STATS_ENV};
+pub use stats_export::StatsExport;
 pub use table::{f2, pct, Table};

@@ -27,13 +27,6 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Environment variable naming the bench-record output file.
-pub const BENCH_JSON_ENV: &str = "BINGO_BENCH_JSON";
-
-/// Environment variable overriding the regression threshold of
-/// `bench_compare` (a fraction, e.g. `0.15`).
-pub const BENCH_THRESHOLD_ENV: &str = "BINGO_BENCH_THRESHOLD";
-
 /// Key of the host-speed calibration case every bench binary records.
 ///
 /// The snapshot is a file of absolute times, but the machine that
@@ -140,13 +133,16 @@ impl BenchRecord {
             raw.parse::<f64>()
                 .map_err(|e| format!("field {name:?}: {e} in {line:?}"))
         };
+        let samples = get("samples")?;
         Ok(BenchRecord {
             key: unquote(get("key")?)?,
             unit: unquote(get("unit")?)?,
             median: num("median")?,
             lo: num("lo")?,
             hi: num("hi")?,
-            samples: num("samples")? as u32,
+            samples: samples.parse().map_err(|e| {
+                format!("field \"samples\": {e} (want a whole number in u32 range) in {line:?}")
+            })?,
         })
     }
 }
@@ -160,7 +156,8 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (keys and units are ASCII identifiers).
+/// Minimal JSON string escaping: quote, backslash and control characters;
+/// [`unquote`] reads back exactly these escapes.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -176,6 +173,7 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// Decodes a JSON string token written by [`json_string`].
 fn unquote(raw: &str) -> Result<String, String> {
     let inner = raw
         .strip_prefix('"')
@@ -188,6 +186,15 @@ fn unquote(raw: &str) -> Result<String, String> {
             match chars.next() {
                 Some('"') => out.push('"'),
                 Some('\\') => out.push('\\'),
+                Some('u') => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    let c = Some(&hex)
+                        .filter(|h| h.len() == 4 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| format!("bad escape \\u{hex} in {raw:?}"))?;
+                    out.push(c);
+                }
                 other => return Err(format!("unsupported escape {other:?} in {raw:?}")),
             }
         } else {
@@ -292,11 +299,6 @@ pub struct BenchWriter {
     keep_best: bool,
 }
 
-/// Environment variable selecting the writer's cross-run merge policy:
-/// unset/`replace` overwrites re-measured keys, `best` keeps the better
-/// of the existing and new record.
-pub const BENCH_MERGE_ENV: &str = "BINGO_BENCH_MERGE";
-
 impl BenchWriter {
     /// Opens (or creates) the bench-record file at `path`, loading any
     /// existing records for merging.
@@ -325,26 +327,6 @@ impl BenchWriter {
     pub fn keep_best(mut self) -> BenchWriter {
         self.keep_best = true;
         self
-    }
-
-    /// Builds the writer named by `BINGO_BENCH_JSON`, or `None` when the
-    /// variable is unset. `BINGO_BENCH_MERGE=best` selects the
-    /// keep-the-better-record policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set but the file cannot be opened or
-    /// parsed (a run asked to record measurements must not drop them), or
-    /// if `BINGO_BENCH_MERGE` names an unknown policy.
-    pub fn from_env() -> Option<BenchWriter> {
-        let path = std::env::var(BENCH_JSON_ENV).ok()?;
-        let writer = BenchWriter::open(&path)
-            .unwrap_or_else(|e| panic!("{BENCH_JSON_ENV}: cannot open {path:?}: {e}"));
-        match std::env::var(BENCH_MERGE_ENV).as_deref() {
-            Ok("best") => Some(writer.keep_best()),
-            Ok("replace") | Err(_) => Some(writer),
-            Ok(other) => panic!("{BENCH_MERGE_ENV}={other:?}: expected \"best\" or \"replace\""),
-        }
     }
 
     /// The target file.
@@ -518,6 +500,9 @@ mod tests {
         let parsed = BenchRecord::from_json(&r.to_json()).expect("parse back");
         assert_eq!(parsed, r);
         assert!(parsed.higher_is_better());
+        // Control characters are escaped as `\u00XX` and read back.
+        let tabbed = rec("a\tb\u{1}c", 1.0);
+        assert_eq!(BenchRecord::from_json(&tabbed.to_json()), Ok(tabbed));
         assert!(!rec("x", 1.0).higher_is_better());
     }
 
@@ -527,6 +512,10 @@ mod tests {
             "not json",
             "{\"key\":\"a\"}",
             "{\"key\":\"a\",\"unit\":\"ms/run\",\"median\":\"abc\",\"lo\":1,\"hi\":2,\"samples\":3}",
+            // `samples` must be a whole number in u32 range.
+            "{\"key\":\"a\",\"unit\":\"ms/run\",\"median\":1,\"lo\":1,\"hi\":2,\"samples\":-3}",
+            "{\"key\":\"a\",\"unit\":\"ms/run\",\"median\":1,\"lo\":1,\"hi\":2,\"samples\":2.7}",
+            "{\"key\":\"a\",\"unit\":\"ms/run\",\"median\":1,\"lo\":1,\"hi\":2,\"samples\":4294967296}",
         ] {
             assert!(BenchRecord::from_json(bad).is_err(), "accepted: {bad}");
         }

@@ -49,8 +49,8 @@ use bingo_sim::{
 };
 use bingo_workloads::{TraceWorkload, Workload};
 
-use crate::checkpoint::{Checkpoint, CHECKPOINT_ENV};
-use crate::knobs;
+use crate::checkpoint::Checkpoint;
+use crate::config::RunConfig;
 use crate::mix::{FairnessReport, MixAssignment, MixConfig, Pressure};
 use crate::stats_export::StatsExport;
 
@@ -278,107 +278,6 @@ impl RunScale {
             warmup_per_core: 100_000,
             seed: 42,
         }
-    }
-
-    /// Reads `--quick` from the process arguments (exact match, any
-    /// position), then applies the `BINGO_WARMUP` / `BINGO_INSTR`
-    /// environment overrides (development knobs for calibration sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `BINGO_WARMUP` or `BINGO_INSTR` is set but does not parse
-    /// as an unsigned integer: a typo'd override must abort the run, not
-    /// silently fall back to the full scale.
-    pub fn from_args() -> Self {
-        Self::from_parts(std::env::args().skip(1), |name| std::env::var(name).ok())
-    }
-
-    /// Testable core of [`RunScale::from_args`]: explicit argument list
-    /// and environment lookup.
-    fn from_parts<I, E>(args: I, env: E) -> Self
-    where
-        I: IntoIterator<Item = String>,
-        E: Fn(&str) -> Option<String>,
-    {
-        let mut scale = if args.into_iter().any(|a| a == "--quick") {
-            Self::quick()
-        } else {
-            Self::full()
-        };
-        if let Some(v) = env("BINGO_WARMUP") {
-            scale.warmup_per_core = parse_override("BINGO_WARMUP", &v);
-        }
-        if let Some(v) = env("BINGO_INSTR") {
-            scale.instructions_per_core = parse_override("BINGO_INSTR", &v);
-        }
-        scale
-    }
-}
-
-/// Parses a numeric environment override, aborting loudly on garbage.
-fn parse_override(name: &str, value: &str) -> u64 {
-    knobs::parse(name, value, "an unsigned integer", |v| v.parse().ok())
-}
-
-/// Environment variable selecting the prefetch-lifecycle telemetry level
-/// for CLI sweeps: `off` (default), `counts`, or `trace`.
-pub const TELEMETRY_ENV: &str = "BINGO_TELEMETRY";
-
-/// Reads [`TELEMETRY_ENV`], aborting loudly on garbage — a typo'd level
-/// must not silently run without telemetry.
-///
-/// # Panics
-///
-/// Panics if the variable is set but is not a recognized level.
-pub fn telemetry_from_env() -> TelemetryLevel {
-    knobs::from_env(
-        TELEMETRY_ENV,
-        "one of off/counts/trace",
-        TelemetryLevel::parse,
-    )
-    .unwrap_or(TelemetryLevel::Off)
-}
-
-/// Environment variable selecting the prefetch-throttle mode for CLI
-/// sweeps: `off` (default, bit-for-bit identical to a build without the
-/// throttle subsystem), `static` (pinned conservative degree),
-/// `feedback` (closed-loop accuracy/bandwidth control), or `percore`
-/// (one feedback controller per core plus the starvation watchdog).
-pub const THROTTLE_ENV: &str = "BINGO_THROTTLE";
-
-/// Reads [`THROTTLE_ENV`], aborting loudly on garbage — a typo'd mode
-/// must not silently run unthrottled.
-///
-/// # Panics
-///
-/// Panics if the variable is set but is not a recognized mode.
-pub fn throttle_from_env() -> ThrottleMode {
-    knobs::from_env(
-        THROTTLE_ENV,
-        "one of off/static/feedback/percore",
-        ThrottleMode::parse,
-    )
-    .unwrap_or(ThrottleMode::Off)
-}
-
-/// Worker count for parallel sweeps: the `BINGO_JOBS` environment override
-/// when set, otherwise [`std::thread::available_parallelism`] (1 if that
-/// cannot be determined).
-///
-/// # Panics
-///
-/// Panics if `BINGO_JOBS` is set but is not a positive integer.
-pub fn default_jobs() -> usize {
-    match knobs::from_env("BINGO_JOBS", "a positive integer", |v| {
-        v.parse::<usize>().ok()
-    }) {
-        Some(jobs) => {
-            assert!(jobs > 0, "BINGO_JOBS must be a positive integer, got 0");
-            jobs
-        }
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
     }
 }
 
@@ -756,174 +655,54 @@ impl Default for RunScale {
 /// module docs for the determinism argument.
 #[derive(Debug)]
 pub struct ParallelHarness {
-    scale: RunScale,
-    jobs: usize,
-    progress: bool,
-    cell_timeout: Option<Duration>,
+    config: RunConfig,
     checkpoint: Option<Checkpoint>,
-    telemetry: TelemetryLevel,
-    throttle: ThrottleMode,
     stats: Option<StatsExport>,
     /// Every completed keyed run of this harness's lifetime.
     cache: HashMap<String, SimResult>,
 }
 
-/// Parses the `BINGO_CELL_TIMEOUT` value (seconds, fractional allowed),
-/// aborting loudly on garbage — a typo'd deadline must not silently run
-/// unlimited.
-fn parse_cell_timeout(value: &str) -> Duration {
-    let secs: f64 = knobs::parse(CELL_TIMEOUT_ENV, value, "a number of seconds", |v| {
-        v.parse().ok()
-    });
-    assert!(
-        secs.is_finite() && secs >= 0.0,
-        "{CELL_TIMEOUT_ENV} must be a non-negative number of seconds, got {value:?}"
-    );
-    Duration::from_secs_f64(secs)
-}
-
-/// Environment variable holding the per-cell soft deadline in seconds.
-pub const CELL_TIMEOUT_ENV: &str = "BINGO_CELL_TIMEOUT";
-
 impl ParallelHarness {
-    /// Creates a parallel harness at the given scale with
-    /// [`default_jobs`] workers, honoring the `BINGO_CELL_TIMEOUT`
-    /// (per-cell deadline, seconds), `BINGO_CHECKPOINT` (resume file),
-    /// `BINGO_TELEMETRY` (prefetch-lifecycle telemetry level),
-    /// `BINGO_THROTTLE` (adaptive prefetch-throttle mode), and
-    /// `BINGO_STATS` (machine-readable stats export) environment knobs.
-    /// The explicit constructors ([`ParallelHarness::with_jobs`] +
-    /// builders) ignore the environment so tests stay hermetic.
+    /// Creates a harness that runs every cell at the config's scale,
+    /// telemetry level, throttle mode and cell deadline on `config.jobs`
+    /// workers, replaying from and recording to its checkpoint and
+    /// writing its stats export, when set.
     ///
     /// # Panics
     ///
-    /// Panics if `BINGO_CELL_TIMEOUT` is set but not a non-negative number
-    /// of seconds, if `BINGO_CHECKPOINT` or `BINGO_STATS` names an
-    /// unopenable file, if `BINGO_TELEMETRY` is not a recognized level, or
-    /// if `BINGO_THROTTLE` is not a recognized mode.
-    pub fn new(scale: RunScale) -> Self {
-        let mut harness = Self::with_jobs(scale, default_jobs());
-        harness.telemetry = telemetry_from_env();
-        harness.throttle = throttle_from_env();
-        harness.stats = StatsExport::from_env();
-        if let Ok(v) = std::env::var(CELL_TIMEOUT_ENV) {
-            harness.cell_timeout = Some(parse_cell_timeout(&v));
-        }
-        if let Ok(path) = std::env::var(CHECKPOINT_ENV) {
-            let checkpoint = Checkpoint::open(&path)
-                .unwrap_or_else(|e| panic!("{CHECKPOINT_ENV}: cannot open {path:?}: {e}"));
+    /// Panics if `config.jobs` is zero, or if the checkpoint or stats
+    /// export file cannot be opened.
+    pub fn new(config: &RunConfig) -> Self {
+        assert!(config.jobs > 0, "need at least one worker");
+        let checkpoint = config.checkpoint.as_ref().map(|path| {
+            let checkpoint = Checkpoint::open(path)
+                .unwrap_or_else(|e| panic!("BINGO_CHECKPOINT: cannot open {path:?}: {e}"));
             if checkpoint.skipped_lines() > 0 {
                 eprintln!(
                     "[checkpoint] {}: loaded {} cell(s), skipped {} corrupt line(s)",
-                    path,
+                    path.display(),
                     checkpoint.len(),
                     checkpoint.skipped_lines()
                 );
             }
-            harness.checkpoint = Some(checkpoint);
-        }
-        harness
-    }
-
-    /// Creates a parallel harness with an explicit worker count and no
-    /// timeout/checkpoint (environment ignored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero.
-    pub fn with_jobs(scale: RunScale, jobs: usize) -> Self {
-        assert!(jobs > 0, "need at least one worker");
+            checkpoint
+        });
         ParallelHarness {
-            scale,
-            jobs,
-            progress: true,
-            cell_timeout: None,
-            checkpoint: None,
-            telemetry: TelemetryLevel::Off,
-            throttle: ThrottleMode::Off,
-            stats: None,
+            config: config.clone(),
+            checkpoint,
+            stats: config.stats_export(),
             cache: HashMap::new(),
         }
-    }
-
-    /// Disables the per-cell progress/timing lines on stderr.
-    pub fn quiet(mut self) -> Self {
-        self.progress = false;
-        self
-    }
-
-    /// Sets a per-cell soft deadline: any cell whose simulation wall clock
-    /// exceeds it resolves to [`CellOutcome::TimedOut`] instead of
-    /// blocking the sweep.
-    pub fn with_cell_timeout(mut self, limit: Duration) -> Self {
-        self.cell_timeout = Some(limit);
-        self
-    }
-
-    /// Attaches a checkpoint: completed cells are made durable as they
-    /// finish, and cells (or reference runs) already in the checkpoint
-    /// are replayed from it instead of re-simulated.
-    pub fn with_checkpoint(mut self, checkpoint: Checkpoint) -> Self {
-        self.checkpoint = Some(checkpoint);
-        self
-    }
-
-    /// Sets the prefetch-lifecycle telemetry level for every cell
-    /// (reference runs included). Telemetry never changes the simulated
-    /// machine; it adds a [`bingo_sim::TelemetryReport`] to each result
-    /// and namespaces the checkpoint keys (see [`CellSpec::key`]).
-    pub fn with_telemetry(mut self, level: TelemetryLevel) -> Self {
-        self.telemetry = level;
-        self
-    }
-
-    /// The telemetry level in use.
-    pub fn telemetry(&self) -> TelemetryLevel {
-        self.telemetry
-    }
-
-    /// Sets the prefetch-throttle mode for every cell. Baselines run with
-    /// [`PrefetcherKind::None`] and are unaffected by construction (there
-    /// is nothing to throttle), but their checkpoint keys are still
-    /// namespaced with the mode so a throttled sweep never replays into an
-    /// unthrottled one. [`ThrottleMode::Off`] (the default) attaches no
-    /// controller and keeps historical keys and results byte-for-byte.
-    pub fn with_throttle(mut self, mode: ThrottleMode) -> Self {
-        self.throttle = mode;
-        self
-    }
-
-    /// The throttle mode in use.
-    pub fn throttle(&self) -> ThrottleMode {
-        self.throttle
-    }
-
-    /// Attaches a machine-readable stats export: every completed cell and
-    /// reference run (checkpoint replays included) is written as one JSON
-    /// line.
-    pub fn with_stats_export(mut self, export: StatsExport) -> Self {
-        self.stats = Some(export);
-        self
-    }
-
-    /// The scale in use.
-    pub fn scale(&self) -> RunScale {
-        self.scale
-    }
-
-    /// The worker count in use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// A spec for `cores` at this harness's scale, telemetry level,
     /// throttle mode and cell deadline.
     fn spec(&self, cores: Cores) -> CellSpec {
         CellSpec {
-            telemetry: self.telemetry,
-            throttle: self.throttle,
-            deadline: self.cell_timeout,
-            ..CellSpec::new(cores, self.scale)
+            telemetry: self.config.telemetry,
+            throttle: self.config.throttle,
+            deadline: self.config.cell_timeout,
+            ..CellSpec::new(cores, self.config.scale)
         }
     }
 
@@ -954,8 +733,8 @@ impl ParallelHarness {
                 todo.push(i);
             }
         }
-        let progress = self.progress;
-        let ran = parallel_map(self.jobs, todo.len(), |j| {
+        let progress = self.config.progress;
+        let ran = parallel_map(self.config.jobs, todo.len(), |j| {
             specs[todo[j]].run_isolated(progress)
         });
         for (&i, outcome) in todo.iter().zip(ran) {
@@ -1045,12 +824,12 @@ impl ParallelHarness {
         for (&i, outcome) in runnable.iter().zip(ran) {
             outcomes[i] = Some(outcome);
         }
-        if self.progress && cells.len() > 1 {
+        if self.config.progress && cells.len() > 1 {
             eprintln!(
                 "[grid] {} cells in {:.1}s on {} worker(s)",
                 cells.len(),
                 started.elapsed().as_secs_f64(),
-                self.jobs.min(cells.len()),
+                self.config.jobs.min(cells.len()),
             );
         }
 
@@ -1489,52 +1268,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_reads_quick_flag_exactly() {
-        let none = |_: &str| None;
-        let quick = RunScale::from_parts(vec!["--quick".to_string()], none);
-        assert_eq!(quick, RunScale::quick());
-        let full = RunScale::from_parts(Vec::new(), none);
-        assert_eq!(full, RunScale::full());
-        // Near-misses must not enable quick mode.
-        let near = RunScale::from_parts(
-            vec![
-                "--quickly".to_string(),
-                "quick".to_string(),
-                "--QUICK".to_string(),
-            ],
-            none,
-        );
-        assert_eq!(near, RunScale::full());
-    }
-
-    #[test]
-    fn from_parts_applies_env_overrides() {
-        let env = |name: &str| match name {
-            "BINGO_WARMUP" => Some("1234".to_string()),
-            "BINGO_INSTR" => Some("5678".to_string()),
-            _ => None,
-        };
-        let scale = RunScale::from_parts(vec!["--quick".to_string()], env);
-        assert_eq!(scale.warmup_per_core, 1234);
-        assert_eq!(scale.instructions_per_core, 5678);
-        assert_eq!(scale.seed, RunScale::quick().seed);
-    }
-
-    #[test]
-    #[should_panic(expected = "BINGO_WARMUP must be an unsigned integer")]
-    fn from_parts_rejects_garbage_warmup() {
-        let env = |name: &str| (name == "BINGO_WARMUP").then(|| "1e6".to_string());
-        let _ = RunScale::from_parts(Vec::new(), env);
-    }
-
-    #[test]
-    #[should_panic(expected = "BINGO_INSTR must be an unsigned integer")]
-    fn from_parts_rejects_garbage_instr() {
-        let env = |name: &str| (name == "BINGO_INSTR").then(|| "100k".to_string());
-        let _ = RunScale::from_parts(Vec::new(), env);
-    }
-
-    #[test]
     fn parallel_map_preserves_index_order() {
         let out = parallel_map(8, 100, |i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
@@ -1560,12 +1293,8 @@ mod tests {
             PrefetcherKind::Bop,
             PrefetcherKind::Sms,
         ];
-        let serial = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
-            .evaluate_all(&workloads, &kinds);
-        let parallel = ParallelHarness::with_jobs(scale, 3)
-            .quiet()
-            .evaluate_all(&workloads, &kinds);
+        let serial = ParallelHarness::new(&quiet(scale, 1)).evaluate_all(&workloads, &kinds);
+        let parallel = ParallelHarness::new(&quiet(scale, 3)).evaluate_all(&workloads, &kinds);
         for (se, pe) in serial.iter().zip(&parallel) {
             let what = format!("{} / {}", se.workload, se.kind.name());
             assert_eq!((&se.workload, se.kind), (&pe.workload, pe.kind));
@@ -1577,6 +1306,16 @@ mod tests {
                 "{what}: speedup differs"
             );
             assert_eq!(se.coverage, pe.coverage, "{what}: coverage differs");
+        }
+    }
+
+    /// A harness config at `scale` on `jobs` workers with the progress
+    /// lines off.
+    fn quiet(scale: RunScale, jobs: usize) -> RunConfig {
+        RunConfig {
+            jobs,
+            progress: false,
+            ..RunConfig::new(scale)
         }
     }
 
@@ -1599,7 +1338,7 @@ mod tests {
             (Workload::Em3d, faulty),
             (Workload::Streaming, PrefetcherKind::Stride),
         ];
-        let mut h = ParallelHarness::with_jobs(tiny_scale(11), 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(tiny_scale(11), 2));
         let report = h.try_evaluate_grid(&cells);
         assert!(!report.is_clean());
         assert_eq!(report.evaluations.len(), 3);
@@ -1637,7 +1376,7 @@ mod tests {
                 PrefetcherKind::Faulty { panic_after: 0 },
             ),
         ];
-        let mut h = ParallelHarness::with_jobs(tiny_scale(12), 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(tiny_scale(12), 2));
         let _ = h.evaluate_grid(&cells);
     }
 
@@ -1645,9 +1384,10 @@ mod tests {
     /// and the sweep still completes with the failures as data.
     #[test]
     fn zero_cell_timeout_times_out_instead_of_hanging() {
-        let mut h = ParallelHarness::with_jobs(tiny_scale(13), 2)
-            .quiet()
-            .with_cell_timeout(Duration::ZERO);
+        let mut h = ParallelHarness::new(&RunConfig {
+            cell_timeout: Some(Duration::ZERO),
+            ..quiet(tiny_scale(13), 2)
+        });
         let report = h.try_evaluate_grid(&[(Workload::Em3d, PrefetcherKind::NextLine(1))]);
         assert!(report.evaluations.iter().all(Option::is_none));
         let baseline_failure = report
@@ -1680,15 +1420,15 @@ mod tests {
     fn generous_cell_timeout_is_bit_for_bit_invisible() {
         let scale = tiny_scale(14);
         let cells = [(Workload::Streaming, PrefetcherKind::Stride)];
-        let plain = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
+        let plain = ParallelHarness::new(&quiet(scale, 1))
             .try_evaluate_grid(&cells)
             .into_complete();
-        let timed = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
-            .with_cell_timeout(Duration::from_secs(3600))
-            .try_evaluate_grid(&cells)
-            .into_complete();
+        let timed = ParallelHarness::new(&RunConfig {
+            cell_timeout: Some(Duration::from_secs(3600)),
+            ..quiet(scale, 1)
+        })
+        .try_evaluate_grid(&cells)
+        .into_complete();
         assert_eq!(plain[0].result, timed[0].result);
         assert_eq!(plain[0].speedup.to_bits(), timed[0].speedup.to_bits());
     }
@@ -1849,7 +1589,7 @@ mod tests {
         assert_eq!(key, reseeded.key(), "seed must not split trace checkpoints");
 
         let kinds = [PrefetcherKind::None, PrefetcherKind::NextLine(1)];
-        let mut h = ParallelHarness::with_jobs(scale, 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(scale, 2));
         let report = h.try_evaluate_trace_grid(std::slice::from_ref(&trace), &kinds);
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.completed(), 2);
@@ -1913,7 +1653,7 @@ mod tests {
         let strict = TraceWorkload::open(&dir).expect("open capture");
         let lenient = TraceWorkload::with_policy(&dir, bingo_trace::Policy::Lenient)
             .expect("open capture leniently");
-        let mut h = ParallelHarness::with_jobs(scale, 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(scale, 2));
         let report = h.try_evaluate_trace_grid(&[strict, lenient], &[PrefetcherKind::NextLine(1)]);
 
         // Strict: baseline and cell fail, reason carries a byte offset.
@@ -1946,25 +1686,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn parse_cell_timeout_accepts_seconds() {
-        assert_eq!(parse_cell_timeout("2"), Duration::from_secs(2));
-        assert_eq!(parse_cell_timeout(" 0.25 "), Duration::from_millis(250));
-        assert_eq!(parse_cell_timeout("0"), Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "BINGO_CELL_TIMEOUT must be a number of seconds")]
-    fn parse_cell_timeout_rejects_garbage() {
-        let _ = parse_cell_timeout("fast");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn parse_cell_timeout_rejects_negative() {
-        let _ = parse_cell_timeout("-1");
-    }
-
     /// Workload-scale determinism lock for the telemetry layer: a
     /// telemetry-on sweep produces bit-for-bit the machine results of a
     /// telemetry-off sweep — same IPC, same miss counts, same speedup —
@@ -1977,13 +1698,12 @@ mod tests {
             seed: 16,
         };
         let cells = [(Workload::Streaming, PrefetcherKind::Bingo)];
-        let off = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
-            .evaluate_grid(&cells);
-        let on = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
-            .with_telemetry(TelemetryLevel::Counts)
-            .evaluate_grid(&cells);
+        let off = ParallelHarness::new(&quiet(scale, 1)).evaluate_grid(&cells);
+        let on = ParallelHarness::new(&RunConfig {
+            telemetry: TelemetryLevel::Counts,
+            ..quiet(scale, 1)
+        })
+        .evaluate_grid(&cells);
         assert!(off[0].result.telemetry.is_none());
         let mut on_result = on[0].result.clone();
         let t = on_result.telemetry.take().expect("report attached");
@@ -2029,9 +1749,10 @@ mod tests {
             fault_seed: 5,
             rate: 0.05,
         };
-        let mut h = ParallelHarness::with_jobs(tiny_scale(17), 2)
-            .quiet()
-            .with_telemetry(TelemetryLevel::Counts);
+        let mut h = ParallelHarness::new(&RunConfig {
+            telemetry: TelemetryLevel::Counts,
+            ..quiet(tiny_scale(17), 2)
+        });
         let report = h.try_evaluate_grid(&[(Workload::Em3d, kind)]);
         assert!(report.is_clean(), "{}", report.failure_report());
         let evals = report.into_complete();
@@ -2056,13 +1777,12 @@ mod tests {
     fn throttled_sweeps_only_subtract_prefetches() {
         let scale = tiny_scale(22);
         let cells = [(Workload::Em3d, PrefetcherKind::Bingo)];
-        let plain = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
-            .evaluate_grid(&cells);
-        let throttled = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
-            .with_throttle(ThrottleMode::Static)
-            .evaluate_grid(&cells);
+        let plain = ParallelHarness::new(&quiet(scale, 1)).evaluate_grid(&cells);
+        let throttled = ParallelHarness::new(&RunConfig {
+            throttle: ThrottleMode::Static,
+            ..quiet(scale, 1)
+        })
+        .evaluate_grid(&cells);
         assert_eq!(
             plain[0].baseline, throttled[0].baseline,
             "throttling must not touch the no-prefetcher baseline"
@@ -2086,10 +1806,11 @@ mod tests {
         let scale = tiny_scale(19);
         let cells = [(Workload::Streaming, PrefetcherKind::NextLine(1))];
         let run = |path: &std::path::Path| {
-            let mut h = ParallelHarness::with_jobs(scale, 1)
-                .quiet()
-                .with_telemetry(TelemetryLevel::Counts)
-                .with_checkpoint(Checkpoint::open(path).expect("open checkpoint"));
+            let mut h = ParallelHarness::new(&RunConfig {
+                telemetry: TelemetryLevel::Counts,
+                checkpoint: Some(path.to_path_buf()),
+                ..quiet(scale, 1)
+            });
             h.try_evaluate_grid(&cells)
         };
         let fresh = run(&path);
@@ -2111,7 +1832,7 @@ mod tests {
     /// prefetcher reports gets a named failure instead of a silent zero.
     #[test]
     fn require_metrics_reports_unknown_names() {
-        let mut h = ParallelHarness::with_jobs(tiny_scale(18), 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(tiny_scale(18), 2));
         let mut report =
             h.try_evaluate_grid(&[(Workload::Streaming, PrefetcherKind::MultiEvent(2))]);
         report.require_metrics(&["lookups"]);
@@ -2133,11 +1854,11 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join(format!("stats-export-{}.json", std::process::id()));
         let scale = tiny_scale(20);
-        let export = StatsExport::create(&path).expect("create export");
-        let mut h = ParallelHarness::with_jobs(scale, 2)
-            .quiet()
-            .with_telemetry(TelemetryLevel::Counts)
-            .with_stats_export(export);
+        let mut h = ParallelHarness::new(&RunConfig {
+            telemetry: TelemetryLevel::Counts,
+            stats: Some(path.clone()),
+            ..quiet(scale, 2)
+        });
         let _ = h.evaluate_all(
             &[Workload::Streaming],
             &[PrefetcherKind::NextLine(1), PrefetcherKind::Stride],
@@ -2161,7 +1882,7 @@ mod tests {
             warmup_per_core: 5_000,
             seed: 3,
         };
-        let mut h = ParallelHarness::with_jobs(scale, 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(scale, 2));
         // Many cells over one workload: one baseline, shared by all.
         let evals = h.evaluate_all(
             &[Workload::Streaming],
@@ -2197,7 +1918,7 @@ mod tests {
             cores: 2,
             pressure: Pressure::NONE,
         }];
-        let mut h = ParallelHarness::with_jobs(tiny_scale(7), 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(tiny_scale(7), 2));
         let report = h.try_evaluate_mix_grid(&cells);
         assert!(report.is_clean(), "{}", report.failure_report());
         let evals = report.into_complete();
@@ -2231,7 +1952,7 @@ mod tests {
             cores: 4,
             pressure: Pressure::CONSTRAINED,
         }];
-        let mut h = ParallelHarness::with_jobs(tiny_scale(9), 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(tiny_scale(9), 2));
         let evals = h.try_evaluate_mix_grid(&cells).into_complete();
         let e = &evals[0];
         assert_eq!(e.result.cores.len(), 4);
@@ -2265,7 +1986,7 @@ mod tests {
                 pressure: Pressure::NONE,
             },
         ];
-        let mut h = ParallelHarness::with_jobs(tiny_scale(5), 2).quiet();
+        let mut h = ParallelHarness::new(&quiet(tiny_scale(5), 2));
         let report = h.try_evaluate_mix_grid(&cells);
         assert!(!report.is_clean());
         assert!(report.evaluations[0].is_none(), "broken cell has no result");

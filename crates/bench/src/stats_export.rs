@@ -23,10 +23,6 @@ use bingo_sim::SimResult;
 
 use crate::checkpoint::serialize_entry;
 
-/// Environment variable naming the stats-export file (or directory) for
-/// CLI sweeps.
-pub const STATS_ENV: &str = "BINGO_STATS";
-
 /// A deduplicating JSONL writer of completed cell results.
 #[derive(Debug)]
 pub struct StatsExport {
@@ -59,20 +55,6 @@ impl StatsExport {
             writer: Mutex::new(writer),
             written: Mutex::new(HashSet::new()),
         })
-    }
-
-    /// Builds the export named by `BINGO_STATS`, or `None` when unset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is set but the file cannot be created: a
-    /// run asked to export stats must not silently drop them.
-    pub fn from_env() -> Option<StatsExport> {
-        let path = std::env::var(STATS_ENV).ok()?;
-        Some(
-            StatsExport::create(&path)
-                .unwrap_or_else(|e| panic!("{STATS_ENV}: cannot create {path:?}: {e}")),
-        )
     }
 
     /// The resolved output file.

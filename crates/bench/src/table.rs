@@ -98,25 +98,22 @@ impl Table {
         out
     }
 
-    /// Writes the CSV rendering to `path` when the process was launched
-    /// with `--csv <dir>`; returns whether a file was written.
+    /// Writes the CSV rendering to `<dir>/<name>.csv` when a `dir` is
+    /// given (the run's [`crate::RunConfig::csv`]).
     ///
     /// # Panics
     ///
     /// Panics if the directory cannot be written to.
-    pub fn write_csv_if_requested(&self, name: &str) -> bool {
-        let args: Vec<String> = std::env::args().collect();
-        let Some(pos) = args.iter().position(|a| a == "--csv") else {
-            return false;
+    pub fn write_csv(&self, dir: Option<&std::path::Path>, name: &str) {
+        let Some(dir) = dir else {
+            return;
         };
-        let dir = args.get(pos + 1).cloned().unwrap_or_else(|| ".".into());
-        let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-        std::fs::create_dir_all(&dir)
+        let path = dir.join(format!("{name}.csv"));
+        std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("cannot create csv directory {dir:?}: {e}"));
         std::fs::write(&path, self.to_csv())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         eprintln!("wrote {}", path.display());
-        true
     }
 }
 

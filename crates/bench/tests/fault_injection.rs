@@ -5,7 +5,7 @@
 //! for a fixed fault seed, and only *lose coverage*, degrading toward
 //! no-prefetch behavior — never corrupting the simulation itself.
 
-use bingo_bench::{CellSpec, Cores, ParallelHarness, PrefetcherKind, RunScale};
+use bingo_bench::{CellSpec, Cores, ParallelHarness, PrefetcherKind, RunConfig, RunScale};
 use bingo_workloads::Workload;
 
 fn scale(seed: u64) -> RunScale {
@@ -21,7 +21,11 @@ const RATES: [f64; 3] = [0.01, 0.05, 0.10];
 #[test]
 fn corrupted_bingo_completes_and_degrades_gracefully() {
     for (workload, seed) in [(Workload::Em3d, 31), (Workload::Streaming, 32)] {
-        let mut h = ParallelHarness::with_jobs(scale(seed), 2).quiet();
+        let mut h = ParallelHarness::new(&RunConfig {
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale(seed))
+        });
         let fault_free = h.evaluate(workload, PrefetcherKind::Bingo);
         for rate in RATES {
             // Completing `evaluate` at all is the no-panic/no-deadlock
@@ -96,7 +100,11 @@ fn total_prefetch_loss_collapses_to_no_prefetch_behavior() {
     // exactly the no-prefetcher access stream, so misses match the
     // baseline and coverage is exactly zero — the documented degradation
     // endpoint.
-    let mut h = ParallelHarness::with_jobs(scale(34), 2).quiet();
+    let mut h = ParallelHarness::new(&RunConfig {
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale(34))
+    });
     let eval = h.evaluate(
         Workload::Streaming,
         PrefetcherKind::BingoFaulty {

@@ -10,7 +10,7 @@
 //! 4. LLC miss: needs an LLC MSHR; request goes to DRAM; the fill lands at
 //!    the cycle the DRAM model returns.
 //!
-//! Every in-flight fill, at the LLC or an L1, waits in a [`FillQueue`]
+//! Every in-flight fill, at the LLC or an L1, waits in a `FillQueue`
 //! until [`MemorySystem::tick`] reaches its ready cycle and installs it.
 //! The queue is a calendar: one bucket per cycle over a fixed horizon, so
 //! scheduling and landing a fill cost O(1) instead of a heap's O(log n).

@@ -1,11 +1,11 @@
 //! Deterministic corruption operators for adversarial decoder testing.
 //!
-//! A [`CorruptionPlan`] is a seeded, reproducible list of byte-level
-//! mutations — truncations, bit flips, chunk swaps, garbage prefixes,
-//! mid-record amputations — applied to a well-formed trace image. The
-//! fuzz driver asserts that every corrupted image either decodes, yields
-//! a typed error (strict), or is quarantined (lenient); a plan that
-//! provokes a panic is shrunk to a minimal reproducer with
+//! A corruption plan ([`plan_for_seed`]) is a seeded, reproducible list
+//! of byte-level mutations — truncations, bit flips, chunk swaps, garbage
+//! prefixes, mid-record amputations — applied to a well-formed trace
+//! image. The fuzz driver asserts that every corrupted image either
+//! decodes, yields a typed error (strict), or is quarantined (lenient); a
+//! plan that provokes a panic is shrunk to a minimal reproducer with
 //! `bingo_oracle`'s delta-debugging loop, which is why the plan is a
 //! plain `Vec` of small self-describing ops.
 //!

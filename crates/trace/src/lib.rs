@@ -9,7 +9,7 @@
 //! with a byte offset (strict mode) or a counted quarantine that lets
 //! the simulation finish on the surviving records (lenient mode).
 //!
-//! * [`format`] — the framed `.btrc` layout and record encoding.
+//! * [`mod@format`] — the framed `.btrc` layout and record encoding.
 //! * [`crc32`] — hand-rolled IEEE CRC-32 (the workspace is offline; no
 //!   external crates).
 //! * [`reader`] / [`writer`] — bounded-memory streaming codec.

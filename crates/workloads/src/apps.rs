@@ -178,6 +178,19 @@ impl Workload {
             .find(|w| w.slug() == slug)
     }
 
+    /// Looks a workload up by its [`Workload::slug`] or its paper
+    /// [`Workload::name`], ignoring case, spaces and hyphens — the
+    /// spellings a `--workload` flag accepts: `data-serving`,
+    /// `Data Serving` and `DataServing` all name [`Workload::DataServing`].
+    pub fn from_name(name: &str) -> Option<Workload> {
+        let canon = |s: &str| s.replace([' ', '-'], "").to_ascii_lowercase();
+        let wanted = canon(name);
+        Workload::ALL
+            .into_iter()
+            .chain(Workload::STRESS)
+            .find(|w| canon(w.slug()) == wanted || canon(w.name()) == wanted)
+    }
+
     /// Builds the instruction source of one core slot.
     ///
     /// The source is a pure function of `(workload, core, seed)` — it does
@@ -956,6 +969,24 @@ mod tests {
         assert_eq!(Workload::Em3d.paper_mpki(), 32.4);
         assert_eq!(Workload::SatSolver.paper_mpki(), 1.7);
         assert_eq!(Workload::Mix1.paper_mpki(), 15.7);
+    }
+
+    #[test]
+    fn from_name_accepts_slugs_and_paper_names() {
+        for name in ["data-serving", "Data Serving", "DataServing"] {
+            assert_eq!(
+                Workload::from_name(name),
+                Some(Workload::DataServing),
+                "{name}"
+            );
+        }
+        assert_eq!(Workload::from_name("em3d"), Some(Workload::Em3d));
+        assert_eq!(Workload::from_name("mix1"), Some(Workload::Mix1));
+        assert_eq!(
+            Workload::from_name("stress-chase"),
+            Some(Workload::StressChase)
+        );
+        assert_eq!(Workload::from_name("not-a-workload"), None);
     }
 
     #[test]

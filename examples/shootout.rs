@@ -3,37 +3,21 @@
 //! accuracy, and speedup — a miniature of Figs. 7 and 8.
 //!
 //! ```sh
-//! cargo run --release --example shootout [workload]
+//! cargo run --release --example shootout -- [--workload NAME]
 //! ```
 //!
-//! `workload` is one of: data-serving, sat-solver, streaming, zeus, em3d,
-//! mix1..mix5 (default: data-serving). The six cells run in parallel; set
-//! `BINGO_JOBS` to bound the worker count.
+//! `NAME` is one of: data-serving, sat-solver, streaming, zeus, em3d,
+//! mix-1..mix-5 (default: data-serving). The six cells run in parallel;
+//! set `BINGO_JOBS` to bound the worker count.
 
-use bingo_repro::bench::{ParallelHarness, PrefetcherKind, RunScale};
+use bingo_repro::bench::{ParallelHarness, PrefetcherKind, RunConfig, RunScale};
 use bingo_repro::workloads::Workload;
 
-fn parse_workload(name: &str) -> Option<Workload> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "data-serving" => Workload::DataServing,
-        "sat-solver" => Workload::SatSolver,
-        "streaming" => Workload::Streaming,
-        "zeus" => Workload::Zeus,
-        "em3d" => Workload::Em3d,
-        "mix1" => Workload::Mix1,
-        "mix2" => Workload::Mix2,
-        "mix3" => Workload::Mix3,
-        "mix4" => Workload::Mix4,
-        "mix5" => Workload::Mix5,
-        _ => return None,
-    })
-}
-
 fn main() {
-    let workload = std::env::args()
-        .nth(1)
-        .and_then(|a| parse_workload(&a))
-        .unwrap_or(Workload::DataServing);
+    // With no `--workload`, every workload is picked: the first is Data
+    // Serving.
+    let (config, picked) = RunConfig::from_process(|args| args.workloads(&Workload::ALL));
+    let workload = picked[0];
     println!("workload: {workload} — {}\n", workload.description());
 
     let scale = RunScale {
@@ -41,7 +25,11 @@ fn main() {
         warmup_per_core: 600_000,
         seed: 42,
     };
-    let mut harness = ParallelHarness::new(scale).quiet();
+    let mut harness = ParallelHarness::new(&RunConfig {
+        scale,
+        progress: false,
+        ..config
+    });
     let evals = harness.evaluate_all(&[workload], &PrefetcherKind::HEADLINE);
 
     let baseline = &evals[0].baseline;

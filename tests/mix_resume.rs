@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use bingo_bench::{
     Checkpoint, MixAssignment, MixCell, MixConfig, MixEvaluation, ParallelHarness, PrefetcherKind,
-    Pressure, RunScale,
+    Pressure, RunConfig, RunScale,
 };
 use bingo_workloads::Workload;
 
@@ -88,16 +88,22 @@ fn mix_keys_resume_bit_for_bit() {
     let path = tmp_path("mix-resume");
 
     // The reference: an uncheckpointed sweep.
-    let fresh = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
+    let fresh = ParallelHarness::new(&RunConfig {
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    })
+    .try_evaluate_mix_grid(&cells)
+    .into_complete();
 
     // A checkpointed sweep populates the file...
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale())
+        });
         let report = h.try_evaluate_mix_grid(&cells);
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 0, "first run simulates everything");
@@ -107,9 +113,12 @@ fn mix_keys_resume_bit_for_bit() {
     // it: 2 mix cells + 2 slots × 2 pressure levels = 6 entries.
     let cp = Checkpoint::open(&path).expect("reopen checkpoint");
     assert_eq!(cp.len(), 6, "2 mix cells + 4 solo runs are durable");
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_checkpoint(cp);
+    let mut h = ParallelHarness::new(&RunConfig {
+        checkpoint: Some(path.clone()),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    });
     let report = h.try_evaluate_mix_grid(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
@@ -133,9 +142,12 @@ fn old_single_core_checkpoints_still_parse_and_share_the_file() {
     let path = tmp_path("mixed-generations");
     let classic = classic_cells();
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale())
+        });
         h.evaluate_grid(&classic);
     }
     let classic_entries = Checkpoint::open(&path).expect("reopen").len();
@@ -147,9 +159,12 @@ fn old_single_core_checkpoints_still_parse_and_share_the_file() {
     // Run the mix grid against the same file: classic entries are not
     // consulted (disjoint key namespaces), mix entries append.
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("reopen for mixes"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale())
+        });
         let report = h.try_evaluate_mix_grid(&mix_cells());
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 0, "no mix entry predates this run");
@@ -162,9 +177,12 @@ fn old_single_core_checkpoints_still_parse_and_share_the_file() {
         classic_entries + 6,
         "old entries survived the append"
     );
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_checkpoint(cp);
+    let mut h = ParallelHarness::new(&RunConfig {
+        checkpoint: Some(path.clone()),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    });
     let classic_report = h.try_evaluate_grid(&classic);
     assert!(classic_report.is_clean());
     assert_eq!(classic_report.checkpoint_hits, 4, "classic cells replay");
@@ -197,9 +215,12 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
     });
 
     let durable = {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale())
+        });
         let report = h.try_evaluate_mix_grid(&cells);
         assert!(!report.is_clean(), "the faulty cell must fail");
         assert!(report.evaluations[0].is_some() && report.evaluations[1].is_some());
@@ -213,9 +234,12 @@ fn mixed_old_new_checkpoint_retries_only_failed_cells() {
 
     // Resume over the same grid: the 6 healthy entries replay; only the
     // broken cell's solo re-simulates (and fails again, listed as data).
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_checkpoint(Checkpoint::open(&path).expect("reopen for retry"));
+    let mut h = ParallelHarness::new(&RunConfig {
+        checkpoint: Some(path.clone()),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    });
     let report = h.try_evaluate_mix_grid(&cells);
     assert_eq!(
         report.checkpoint_hits, 6,

@@ -17,7 +17,7 @@
 
 use bingo_bench::{
     parallel_map, CellSpec, Cores, MixAssignment, MixCell, MixConfig, ParallelHarness,
-    PrefetcherKind, Pressure, RunScale,
+    PrefetcherKind, Pressure, RunConfig, RunScale,
 };
 use bingo_sim::{SimResult, System, SystemConfig};
 use bingo_workloads::Workload;
@@ -126,14 +126,20 @@ fn mix_grid_is_deterministic_across_worker_counts() {
             pressure: Pressure::CONSTRAINED,
         },
     ];
-    let serial = ParallelHarness::with_jobs(SCALE, 1)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
-    let parallel = ParallelHarness::with_jobs(SCALE, 8)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
+    let serial = ParallelHarness::new(&RunConfig {
+        jobs: 1,
+        progress: false,
+        ..RunConfig::new(SCALE)
+    })
+    .try_evaluate_mix_grid(&cells)
+    .into_complete();
+    let parallel = ParallelHarness::new(&RunConfig {
+        jobs: 8,
+        progress: false,
+        ..RunConfig::new(SCALE)
+    })
+    .try_evaluate_mix_grid(&cells)
+    .into_complete();
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         let what = format!("{}@{} / {}", s.mix_name, s.cores, s.pressure.name);
@@ -177,10 +183,13 @@ fn fairness_metrics_recompute_from_per_core_stats() {
         cores: 2,
         pressure: Pressure::NONE,
     }];
-    let evals = ParallelHarness::with_jobs(SCALE, 2)
-        .quiet()
-        .try_evaluate_mix_grid(&cells)
-        .into_complete();
+    let evals = ParallelHarness::new(&RunConfig {
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(SCALE)
+    })
+    .try_evaluate_mix_grid(&cells)
+    .into_complete();
     let e = &evals[0];
 
     // Recompute every reported metric from the raw per-core stats and

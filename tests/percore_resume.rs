@@ -4,10 +4,10 @@
 //! and the chip-wide-feedback generations sharing the same file — a
 //! mixed-generation checkpoint serves all three without cross-talk.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bingo_bench::{
-    Checkpoint, MixCell, MixConfig, MixEvaluation, ParallelHarness, Pressure, RunScale,
+    Checkpoint, MixCell, MixConfig, MixEvaluation, ParallelHarness, Pressure, RunConfig, RunScale,
 };
 use bingo_sim::ThrottleMode;
 
@@ -53,14 +53,14 @@ fn cells() -> Vec<MixCell> {
     ]
 }
 
-fn harness(throttle: ThrottleMode, cp: Option<Checkpoint>) -> ParallelHarness {
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_throttle(throttle);
-    if let Some(cp) = cp {
-        h = h.with_checkpoint(cp);
-    }
-    h
+fn harness(throttle: ThrottleMode, cp: Option<&Path>) -> ParallelHarness {
+    ParallelHarness::new(&RunConfig {
+        throttle,
+        checkpoint: cp.map(Path::to_path_buf),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    })
 }
 
 /// NaN-proof bitwise comparison of two mix evaluations.
@@ -87,10 +87,7 @@ fn percore_mix_keys_resume_bit_for_bit() {
         .into_complete();
 
     {
-        let mut h = harness(
-            ThrottleMode::Percore,
-            Some(Checkpoint::open(&path).expect("create checkpoint")),
-        );
+        let mut h = harness(ThrottleMode::Percore, Some(&path));
         let report = h.try_evaluate_mix_grid(&cells());
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 0, "first run simulates everything");
@@ -98,7 +95,7 @@ fn percore_mix_keys_resume_bit_for_bit() {
 
     let cp = Checkpoint::open(&path).expect("reopen checkpoint");
     assert_eq!(cp.len(), 6, "2 mix cells + 4 solo runs are durable");
-    let mut h = harness(ThrottleMode::Percore, Some(cp));
+    let mut h = harness(ThrottleMode::Percore, Some(&path));
     let report = h.try_evaluate_mix_grid(&cells());
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
@@ -136,10 +133,7 @@ fn percore_entries_share_a_file_with_older_throttle_generations() {
 
     let mut expected_len = 0;
     for &mode in &generations {
-        let mut h = harness(
-            mode,
-            Some(Checkpoint::open(&path).expect("open checkpoint")),
-        );
+        let mut h = harness(mode, Some(&path));
         let report = h.try_evaluate_mix_grid(&cells());
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(
@@ -156,10 +150,7 @@ fn percore_entries_share_a_file_with_older_throttle_generations() {
 
     // The grown file now serves every generation entirely from replay.
     for &mode in &generations {
-        let mut h = harness(
-            mode,
-            Some(Checkpoint::open(&path).expect("reopen grown file")),
-        );
+        let mut h = harness(mode, Some(&path));
         let report = h.try_evaluate_mix_grid(&cells());
         assert!(report.is_clean(), "{}", report.failure_report());
         assert_eq!(report.checkpoint_hits, 6, "{mode} cells replay");

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use bingo_bench::{
-    CellSpec, Checkpoint, Cores, Evaluation, ParallelHarness, PrefetcherKind, RunScale,
+    CellSpec, Checkpoint, Cores, Evaluation, ParallelHarness, PrefetcherKind, RunConfig, RunScale,
 };
 use bingo_sim::ThrottleMode;
 use bingo_workloads::Workload;
@@ -82,16 +82,22 @@ fn resume_from_checkpoint_is_bit_for_bit_identical() {
     let path = tmp_path("resume");
 
     // The reference: one uninterrupted sweep, no checkpoint involved.
-    let fresh = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .evaluate_grid(&cells);
+    let fresh = ParallelHarness::new(&RunConfig {
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    })
+    .evaluate_grid(&cells);
 
     // The "killed" sweep: only the first half of the grid completes
     // before the process dies.
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale())
+        });
         let partial = h.evaluate_grid(&cells[..2]);
         assert_eq!(partial.len(), 2);
     }
@@ -118,9 +124,12 @@ fn resume_from_checkpoint_is_bit_for_bit_identical() {
         3,
         "two cells plus the Em3d baseline were durable"
     );
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_checkpoint(resumed_checkpoint);
+    let mut h = ParallelHarness::new(&RunConfig {
+        checkpoint: Some(path.clone()),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    });
     let report = h.try_evaluate_grid(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
@@ -143,18 +152,24 @@ fn completed_checkpoint_resumes_without_any_simulation() {
     let cells = grid();
     let path = tmp_path("full");
     let fresh = {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale())
+        });
         h.evaluate_grid(&cells)
     };
     // Second harness, same file: every cell and baseline is a hit, and a
     // tight deadline proves nothing is simulated (a real simulation at
     // Duration::ZERO would time out).
-    let mut h = ParallelHarness::with_jobs(scale(), 2)
-        .quiet()
-        .with_cell_timeout(Duration::ZERO)
-        .with_checkpoint(Checkpoint::open(&path).expect("reopen"));
+    let mut h = ParallelHarness::new(&RunConfig {
+        cell_timeout: Some(Duration::ZERO),
+        checkpoint: Some(path.clone()),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale())
+    });
     let report = h.try_evaluate_grid(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
@@ -188,26 +203,35 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
     let path = tmp_path("throttle");
 
     // Reference: uninterrupted feedback-throttled sweep, no checkpoint.
-    let fresh = ParallelHarness::with_jobs(scale, 2)
-        .quiet()
-        .with_throttle(ThrottleMode::Feedback)
-        .evaluate_grid(&cells);
+    let fresh = ParallelHarness::new(&RunConfig {
+        throttle: ThrottleMode::Feedback,
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale)
+    })
+    .evaluate_grid(&cells);
 
     // Interrupted: only the first cell (and its baseline) completes.
     {
-        let mut h = ParallelHarness::with_jobs(scale, 2)
-            .quiet()
-            .with_throttle(ThrottleMode::Feedback)
-            .with_checkpoint(Checkpoint::open(&path).expect("create checkpoint"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            throttle: ThrottleMode::Feedback,
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale)
+        });
         let partial = h.evaluate_grid(&cells[..1]);
         assert_eq!(partial.len(), 1);
     }
 
     // Resume under the same mode: the finished cell and baseline replay.
-    let mut h = ParallelHarness::with_jobs(scale, 2)
-        .quiet()
-        .with_throttle(ThrottleMode::Feedback)
-        .with_checkpoint(Checkpoint::open(&path).expect("reopen checkpoint"));
+    let mut h = ParallelHarness::new(&RunConfig {
+        throttle: ThrottleMode::Feedback,
+        checkpoint: Some(path.clone()),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale)
+    });
     let report = h.try_evaluate_grid(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
@@ -222,9 +246,12 @@ fn throttled_sweep_resumes_bit_for_bit_and_keys_stay_disjoint() {
 
     // Mode mismatch: an *unthrottled* harness on the same file finds no
     // usable entries — every key is namespaced by throttle mode.
-    let mut h = ParallelHarness::with_jobs(scale, 2)
-        .quiet()
-        .with_checkpoint(Checkpoint::open(&path).expect("reopen checkpoint"));
+    let mut h = ParallelHarness::new(&RunConfig {
+        checkpoint: Some(path.clone()),
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(scale)
+    });
     let report = h.try_evaluate_grid(&cells);
     assert!(report.is_clean(), "{}", report.failure_report());
     assert_eq!(
@@ -245,9 +272,12 @@ fn failed_cells_are_not_checkpointed_and_retry_on_resume() {
         ),
     ];
     {
-        let mut h = ParallelHarness::with_jobs(scale(), 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&path).expect("create"));
+        let mut h = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(path.clone()),
+            jobs: 2,
+            progress: false,
+            ..RunConfig::new(scale())
+        });
         let report = h.try_evaluate_grid(&cells);
         assert_eq!(report.failures.len(), 1);
     }

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bingo_bench::{
-    Checkpoint, MixCell, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunScale,
+    MixCell, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunConfig, RunScale,
 };
 use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
@@ -66,26 +66,29 @@ fn mix_cells() -> Vec<MixCell> {
 /// Runs the whole fixture sweep against `checkpoint`. With `deadline`
 /// set, every simulation must finish within it.
 fn sweep(checkpoint: &Path, deadline: Option<Duration>) {
-    let harness = || {
-        let h = ParallelHarness::with_jobs(SCALE, 2)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(checkpoint).expect("open checkpoint"));
-        match deadline {
-            Some(limit) => h.with_cell_timeout(limit),
-            None => h,
-        }
+    let config = RunConfig {
+        checkpoint: Some(checkpoint.to_path_buf()),
+        cell_timeout: deadline,
+        jobs: 2,
+        progress: false,
+        ..RunConfig::new(SCALE)
     };
-    let classic = harness().try_evaluate_grid(&classic_cells());
+    let harness = |config: RunConfig| ParallelHarness::new(&config);
+    let classic = harness(config.clone()).try_evaluate_grid(&classic_cells());
     assert!(classic.is_clean(), "{}", classic.failure_report());
-    let counts = harness()
-        .with_telemetry(TelemetryLevel::Counts)
-        .try_evaluate_grid(&[(Workload::Streaming, PrefetcherKind::Stride)]);
+    let counts = harness(RunConfig {
+        telemetry: TelemetryLevel::Counts,
+        ..config.clone()
+    })
+    .try_evaluate_grid(&[(Workload::Streaming, PrefetcherKind::Stride)]);
     assert!(counts.is_clean(), "{}", counts.failure_report());
-    let percore = harness()
-        .with_throttle(ThrottleMode::Percore)
-        .try_evaluate_grid(&[(Workload::Em3d, PrefetcherKind::Bingo)]);
+    let percore = harness(RunConfig {
+        throttle: ThrottleMode::Percore,
+        ..config.clone()
+    })
+    .try_evaluate_grid(&[(Workload::Em3d, PrefetcherKind::Bingo)]);
     assert!(percore.is_clean(), "{}", percore.failure_report());
-    let mix = harness().try_evaluate_mix_grid(&mix_cells());
+    let mix = harness(config).try_evaluate_mix_grid(&mix_cells());
     assert!(mix.is_clean(), "{}", mix.failure_report());
 }
 

@@ -14,7 +14,7 @@ use std::io::Cursor;
 use std::path::{Path, PathBuf};
 
 use bingo_repro::bench::{
-    CellOutcome, CellSpec, Checkpoint, Cores, ParallelHarness, PrefetcherKind, RunScale,
+    CellOutcome, CellSpec, Cores, ParallelHarness, PrefetcherKind, RunConfig, RunScale,
 };
 use bingo_repro::sim::Instr;
 use bingo_repro::trace::{Policy, TraceReader};
@@ -179,9 +179,12 @@ fn replaced_capture_is_re_simulated_not_replayed_from_the_checkpoint() {
     };
     let quarantined = || {
         let trace = TraceWorkload::with_policy(&dir, Policy::Lenient).expect("open capture");
-        let mut harness = ParallelHarness::with_jobs(scale, 1)
-            .quiet()
-            .with_checkpoint(Checkpoint::open(&checkpoint).expect("open checkpoint"));
+        let mut harness = ParallelHarness::new(&RunConfig {
+            checkpoint: Some(checkpoint.clone()),
+            jobs: 1,
+            progress: false,
+            ..RunConfig::new(scale)
+        });
         let evals = harness.evaluate_trace_grid(&[trace], &[PrefetcherKind::NextLine(1)]);
         evals[0]
             .result
