@@ -32,7 +32,7 @@
 //! core's IPC ratio between the two.
 
 use bingo_bench::{
-    f2, CapacityCell, CapacitySearch, CellSpec, ConfigError, Cores, MixCell, MixConfig,
+    f2, CapacityCell, CapacitySearch, CellSpec, ConfigError, Cores, Json, MixCell, MixConfig,
     ParallelHarness, Pressure, RunConfig, RunScale, Table,
 };
 use bingo_sim::{SimResult, ThrottleMode};
@@ -237,11 +237,15 @@ fn starvation_experiment(mix: &MixConfig, scale: RunScale) -> String {
     println!("=> {verdict}");
     println!("   (fig_qos reruns this comparison with the per-core throttle arm)\n");
 
-    format!(
-        "{{\"starvation\":{{\"mix\":\"{}\",\"pressure\":\"{}\",\"cores\":2,\
-         \"polite_ipc_unthrottled\":{:.6},\"polite_ipc_feedback\":{:.6},\
-         \"polite_ratio\":{:.6},\"storm_ipc_unthrottled\":{:.6},\
-         \"storm_ipc_feedback\":{:.6}}}}}",
-        mix.name, pressure.name, polite.0, polite.1, polite_ratio, storm.0, storm.1
-    )
+    let report = Json::obj([
+        ("mix", Json::str(&mix.name)),
+        ("pressure", Json::str(pressure.name)),
+        ("cores", 2.into()),
+        ("polite_ipc_unthrottled", Json::decimal(polite.0)),
+        ("polite_ipc_feedback", Json::decimal(polite.1)),
+        ("polite_ratio", Json::decimal(polite_ratio)),
+        ("storm_ipc_unthrottled", Json::decimal(storm.0)),
+        ("storm_ipc_feedback", Json::decimal(storm.1)),
+    ]);
+    Json::obj([("starvation", report)]).to_string()
 }

@@ -26,7 +26,7 @@
 //! (one JSON line per experiment) lands in `--report` (default
 //! `target/fig_qos_report.json`; CI uploads it as an artifact).
 
-use bingo_bench::{f2, CellSpec, Cores, MixConfig, Pressure, RunConfig, Table};
+use bingo_bench::{f2, CellSpec, Cores, Json, MixConfig, Pressure, RunConfig, Table};
 use bingo_sim::{ChaosPlan, SimResult, ThrottleMode};
 
 /// The mix every arm runs: one streaming core behind Bingo, one
@@ -159,43 +159,36 @@ fn main() {
         None
     };
 
-    let mut report_lines = vec![format!(
-        "{{\"qos\":{{\"mix\":\"{}\",\"pressure\":\"{}\",\"cores\":2,\
-             \"polite_ipc\":[{:.6},{:.6},{:.6}],\"storm_ipc\":[{:.6},{:.6},{:.6}],\
-             \"aggregate_ipc\":[{:.6},{:.6},{:.6}],\
-             \"polite_ratio_feedback\":{:.6},\"polite_ratio_percore\":{:.6},\
-             \"watchdog\":[{},{},{},{}]}}}}",
-        mix.name,
-        pressure.name,
-        polite[0],
-        polite[1],
-        polite[2],
-        storm[0],
-        storm[1],
-        storm[2],
-        aggregate[0],
-        aggregate[1],
-        aggregate[2],
-        polite_ratio_feedback,
-        polite_ratio_percore,
-        qos.watchdog_epochs,
-        qos.watchdog_starved_epochs,
-        qos.watchdog_clamps,
-        qos.watchdog_exempted,
-    )];
+    let watchdog = Json::obj([
+        ("epochs", qos.watchdog_epochs.into()),
+        ("starved_epochs", qos.watchdog_starved_epochs.into()),
+        ("clamps", qos.watchdog_clamps.into()),
+        ("exempted", qos.watchdog_exempted.into()),
+    ]);
+    let calm = Json::obj([
+        ("mix", Json::str(&mix.name)),
+        ("pressure", Json::str(pressure.name)),
+        ("cores", 2.into()),
+        ("polite_ipc", Json::decimals(&polite)),
+        ("storm_ipc", Json::decimals(&storm)),
+        ("aggregate_ipc", Json::decimals(&aggregate)),
+        (
+            "polite_ratio_feedback",
+            Json::decimal(polite_ratio_feedback),
+        ),
+        ("polite_ratio_percore", Json::decimal(polite_ratio_percore)),
+        ("watchdog", watchdog),
+    ]);
+    let mut report_lines = vec![Json::obj([("qos", calm)]).to_string()];
     if let Some((chaos_off, chaos_percore, chaos_polite_ratio)) = &chaos_cell {
-        report_lines.push(format!(
-            "{{\"qos_chaos\":{{\"mix\":\"{}\",\"seed\":{},\
-             \"off_ipc\":[{:.6},{:.6}],\"percore_ipc\":[{:.6},{:.6}],\
-             \"polite_ratio\":{:.6}}}}}",
-            mix.name,
-            chaos_seed,
-            chaos_off.core_ipcs()[0],
-            chaos_off.core_ipcs()[1],
-            chaos_percore.core_ipcs()[0],
-            chaos_percore.core_ipcs()[1],
-            chaos_polite_ratio,
-        ));
+        let chaos = Json::obj([
+            ("mix", Json::str(&mix.name)),
+            ("seed", chaos_seed.into()),
+            ("off_ipc", Json::decimals(&chaos_off.core_ipcs())),
+            ("percore_ipc", Json::decimals(&chaos_percore.core_ipcs())),
+            ("polite_ratio", Json::decimal(*chaos_polite_ratio)),
+        ]);
+        report_lines.push(Json::obj([("qos_chaos", chaos)]).to_string());
     }
     if let Some(parent) = report_path.parent() {
         std::fs::create_dir_all(parent)

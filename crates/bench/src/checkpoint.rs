@@ -4,27 +4,35 @@
 //! finished cells. The checkpoint makes each cell's [`SimResult`] durable
 //! the moment it completes: one self-contained JSON line per cell, appended
 //! and flushed immediately, keyed by everything that determines the result
-//! — `(seed, instructions, warmup, workload, prefetcher kind)`. A resumed
-//! sweep pointed at the same file replays the finished cells from disk and
-//! only simulates the missing ones; because a cell's result is a pure
-//! function of its key (see the determinism notes in [`crate::runner`]),
-//! the resumed sweep is **bit-for-bit identical** to an uninterrupted one —
-//! test-locked by `resume_is_bit_for_bit_identical`.
+//! (see [`crate::CellSpec::key`]). A resumed sweep pointed at the same file
+//! replays the finished cells from disk and only simulates the missing
+//! ones; because a cell's result is a pure function of its key (see the
+//! determinism notes in [`crate::runner`]), the resumed sweep is
+//! **bit-for-bit identical** to an uninterrupted one — test-locked by
+//! `resume_from_checkpoint_is_bit_for_bit_identical`.
+//!
+//! Each line is `{"key":…,"result":{…}}`, the result an object keyed by
+//! [`SimResult`]'s field names, its parts likewise (`CoreStats`,
+//! `CacheStats`, `TelemetryReport`, …); the optional `telemetry`, `ingest`
+//! and `qos` sections are absent when `None`. The crate's one JSON codec
+//! (`json.rs`, around the [`Json`] value type) writes and reads it, and
+//! the `codec!` list below names every field once.
 //!
 //! Robustness properties:
 //!
 //! * a torn final line (the process died mid-write) is skipped, not fatal;
-//! * corrupt or hand-edited lines are skipped the same way, and counted in
+//! * corrupt or hand-edited lines — a missing, unknown or wrongly typed
+//!   field included — are skipped the same way, and counted in
 //!   [`Checkpoint::skipped_lines`] so tampering is visible;
-//! * floats are stored as IEEE-754 bit patterns (`f64::to_bits`), so a
-//!   round trip through the file cannot lose precision — "resume equals
-//!   fresh run" holds at the bit level, not merely approximately;
+//! * lines in the positional-array encoding of earlier versions are never
+//!   decoded: they are counted in [`Checkpoint::positional_lines`] and
+//!   their cells re-run;
+//! * prefetcher metrics are stored as IEEE-754 bit patterns
+//!   (`f64::to_bits`), so a round trip through the file cannot lose
+//!   precision — "resume equals fresh run" holds at the bit level, NaN
+//!   included;
 //! * only successful cells are recorded: a panicked or timed-out cell is
 //!   retried on resume rather than replayed as a failure.
-//!
-//! The format is deliberately hand-rolled (this workspace builds offline,
-//! without serde): a tiny JSON subset — objects, arrays, strings, and
-//! unsigned integers — wide enough for [`SimResult`] and nothing else.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -37,6 +45,8 @@ use bingo_sim::{
     TelemetryReport,
 };
 
+use crate::json::{codec, Codec, Fields, Json, JsonError};
+
 /// A durable map from cell key to completed [`SimResult`], backed by an
 /// append-only JSONL file.
 #[derive(Debug)]
@@ -45,12 +55,13 @@ pub struct Checkpoint {
     entries: Mutex<HashMap<String, SimResult>>,
     writer: Mutex<File>,
     skipped: usize,
+    positional: usize,
 }
 
 impl Checkpoint {
-    /// Opens (or creates) the checkpoint file, loading every parseable
-    /// entry. Unparseable lines — torn tails, hand-edits, bit rot — are
-    /// skipped and counted, never fatal.
+    /// Opens (or creates) the checkpoint file, loading every decodable
+    /// entry. Other lines — torn tails, hand-edits, bit rot, the positional
+    /// encoding — are skipped and counted, never fatal.
     ///
     /// # Errors
     ///
@@ -58,7 +69,7 @@ impl Checkpoint {
     pub fn open(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
         let path = path.as_ref().to_path_buf();
         let mut entries = HashMap::new();
-        let mut skipped = 0;
+        let (mut skipped, mut positional) = (0, 0);
         match File::open(&path) {
             Ok(mut f) => {
                 let mut text = String::new();
@@ -67,11 +78,12 @@ impl Checkpoint {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    match parse_entry(line) {
-                        Some((key, result)) => {
+                    match decode_entry(line) {
+                        Ok((key, result)) => {
                             entries.insert(key, result);
                         }
-                        None => skipped += 1,
+                        Err(EntryError::Positional) => positional += 1,
+                        Err(EntryError::Malformed) => skipped += 1,
                     }
                 }
             }
@@ -84,6 +96,7 @@ impl Checkpoint {
             entries: Mutex::new(entries),
             writer: Mutex::new(writer),
             skipped,
+            positional,
         })
     }
 
@@ -102,9 +115,15 @@ impl Checkpoint {
         self.len() == 0
     }
 
-    /// Lines of the existing file that did not parse and were ignored.
+    /// Lines of the existing file that did not decode and were ignored.
     pub fn skipped_lines(&self) -> usize {
         self.skipped
+    }
+
+    /// Lines of the existing file in the positional encoding of earlier
+    /// versions, ignored so that their cells re-run.
+    pub fn positional_lines(&self) -> usize {
+        self.positional
     }
 
     /// The recorded result for a cell key, if any.
@@ -122,7 +141,7 @@ impl Checkpoint {
     ///
     /// Returns any I/O error from appending to the checkpoint file.
     pub fn record(&self, key: &str, result: &SimResult) -> io::Result<()> {
-        let line = serialize_entry(key, result);
+        let line = encode_entry(key, result);
         lock(&self.entries).insert(key.to_string(), result.clone());
         let mut writer = lock(&self.writer);
         writer.write_all(line.as_bytes())?;
@@ -137,603 +156,67 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-// --- serialization -------------------------------------------------------
+// --- encoding --------------------------------------------------------------
 
-pub(crate) fn serialize_entry(key: &str, r: &SimResult) -> String {
-    let mut s = String::with_capacity(512);
-    s.push_str("{\"key\":");
-    push_json_string(&mut s, key);
-    s.push_str(",\"cores\":[");
-    for (i, c) in r.cores.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "[{},{},{},{},{},{}]",
-            c.instructions,
-            c.cycles,
-            c.loads,
-            c.stores,
-            c.dispatch_stall_cycles,
-            c.dependency_stall_cycles
-        ));
+codec! {
+    CoreStats {
+        instructions, cycles, loads, stores, dispatch_stall_cycles, dependency_stall_cycles,
     }
-    s.push_str("],\"l1d\":");
-    push_cache(&mut s, &r.l1d);
-    s.push_str(",\"llc\":");
-    push_cache(&mut s, &r.llc);
-    s.push_str(&format!(
-        ",\"dram_transfers\":{},\"total_cycles\":{},\"debug\":[",
-        r.dram_transfers, r.total_cycles
-    ));
-    for (i, d) in r.prefetcher_debug.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_json_string(&mut s, d);
+    CacheStats {
+        demand_accesses, demand_hits, demand_hits_pending, demand_misses, demand_mshr_stalls,
+        evictions, writebacks, pf_requested, pf_dropped_duplicate, pf_dropped_mshr,
+        pf_dropped_queue, pf_issued, pf_useful, pf_late, pf_useless,
     }
-    s.push_str("],\"metrics\":[");
-    for (i, core) in r.prefetcher_metrics.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('[');
-        for (j, (name, value)) in core.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            push_json_string(&mut s, name);
-            // f64 as IEEE-754 bits: exact round trip, no decimal formatting.
-            s.push_str(&format!(",{}]", value.to_bits()));
-        }
-        s.push(']');
+    SourceCounters { issued, timely, late, unused, dropped }
+    TelemetryReport {
+        issued, dropped_duplicate, dropped_mshr, dropped_queue, timely, late, unused, fills,
+        fill_latency_sum, in_flight_at_end, orphans, by_source, hot_pcs,
     }
-    s.push(']');
-    // The telemetry field is optional: absent when the run had telemetry
-    // off, so files written before the field existed still parse.
-    if let Some(t) = &r.telemetry {
-        s.push_str(",\"telemetry\":{\"counts\":");
-        // `dropped_queue` rides at the end, mirroring `push_cache`: the
-        // first ten indices match pre-queue checkpoint files.
-        s.push_str(&format!(
-            "[{},{},{},{},{},{},{},{},{},{},{}]",
-            t.issued,
-            t.dropped_duplicate,
-            t.dropped_mshr,
-            t.timely,
-            t.late,
-            t.unused,
-            t.fills,
-            t.fill_latency_sum,
-            t.in_flight_at_end,
-            t.orphans,
-            t.dropped_queue
-        ));
-        s.push_str(",\"by_source\":[");
-        for (i, (label, c)) in t.by_source.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            push_json_string(&mut s, label);
-            s.push(',');
-            push_source_counters(&mut s, c);
-            s.push(']');
-        }
-        s.push_str("],\"hot_pcs\":[");
-        for (i, (pc, c)) in t.hot_pcs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("[{pc},"));
-            push_source_counters(&mut s, c);
-            s.push(']');
-        }
-        s.push_str("]}");
+    IngestReport { delivered_records, quarantined_records, quarantined_bytes, skipped_chunks }
+    CoreQos {
+        demand_accesses, pf_issued, pf_used, prefetch_reads, reads, epochs, degrades, upgrades,
+        final_level,
     }
-    // Also optional: only trace-replay cells carry ingestion accounting,
-    // and pre-ingest checkpoint files still parse (absent field → None).
-    if let Some(g) = &r.ingest {
-        s.push_str(&format!(
-            ",\"ingest\":[{},{},{},{}]",
-            g.delivered_records, g.quarantined_records, g.quarantined_bytes, g.skipped_chunks
-        ));
+    QosReport { cores, watchdog_epochs, watchdog_starved_epochs, watchdog_clamps, watchdog_exempted }
+    SimResult {
+        cores, l1d, llc, dram_transfers, total_cycles, prefetcher_debug, prefetcher_metrics,
+        telemetry, ingest, qos,
     }
-    // Optional again: only `percore`-throttled runs carry QoS accounting.
-    // Absent field -> None keeps every earlier checkpoint generation
-    // parseable, and `off|static|feedback` lines byte-identical.
-    if let Some(q) = &r.qos {
-        s.push_str(",\"qos\":{\"cores\":[");
-        for (i, c) in q.cores.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "[{},{},{},{},{},{},{},{},{}]",
-                c.demand_accesses,
-                c.pf_issued,
-                c.pf_used,
-                c.prefetch_reads,
-                c.reads,
-                c.epochs,
-                c.degrades,
-                c.upgrades,
-                c.final_level
-            ));
-        }
-        s.push_str(&format!(
-            "],\"watchdog\":[{},{},{},{}]}}",
-            q.watchdog_epochs, q.watchdog_starved_epochs, q.watchdog_clamps, q.watchdog_exempted
-        ));
-    }
-    s.push('}');
-    s
 }
 
-fn push_source_counters(s: &mut String, c: &SourceCounters) {
-    s.push_str(&format!(
-        "[{},{},{},{},{}]",
-        c.issued, c.timely, c.late, c.unused, c.dropped
-    ));
+/// One checkpoint or stats-export line (no trailing newline).
+pub(crate) fn encode_entry(key: &str, result: &SimResult) -> String {
+    Json::obj([("key", Json::str(key)), ("result", result.encode())]).to_string()
 }
 
-fn push_cache(s: &mut String, c: &CacheStats) {
-    // `pf_dropped_queue` rides at the *end* (not at its struct position)
-    // so every index written by pre-queue checkpoints stays valid; see
-    // `parse_cache` for the matching 14-or-15 acceptance.
-    s.push_str(&format!(
-        "[{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}]",
-        c.demand_accesses,
-        c.demand_hits,
-        c.demand_hits_pending,
-        c.demand_misses,
-        c.demand_mshr_stalls,
-        c.evictions,
-        c.writebacks,
-        c.pf_requested,
-        c.pf_dropped_duplicate,
-        c.pf_dropped_mshr,
-        c.pf_issued,
-        c.pf_useful,
-        c.pf_late,
-        c.pf_useless,
-        c.pf_dropped_queue
-    ));
-}
-
-fn push_json_string(s: &mut String, value: &str) {
-    s.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-// --- parsing -------------------------------------------------------------
-
-/// Minimal JSON value: the subset the checkpoint format emits.
+/// Why a line was not loaded.
 #[derive(Debug)]
-enum Json {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+enum EntryError {
+    /// The positional-array encoding of earlier versions (a top-level
+    /// `l1d` array): never decoded, so its cell re-runs.
+    Positional,
+    /// A torn, corrupt or hand-edited line.
+    Malformed,
 }
 
-impl Json {
-    fn num(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn field(&self, name: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match *self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match *self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                b => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                    let _ = b;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-            .map(Json::Num)
-    }
-}
-
-/// Parses one checkpoint line into `(key, result)`; `None` on any
-/// malformation — the caller skips the line.
-fn parse_entry(line: &str) -> Option<(String, SimResult)> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+fn decode_entry(line: &str) -> Result<(String, SimResult), EntryError> {
+    let root = Json::parse(line).map_err(|_| EntryError::Malformed)?;
+    let Json::Obj(top) = &root else {
+        return Err(EntryError::Malformed);
     };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return None; // trailing garbage: treat the whole line as torn
+    if top
+        .iter()
+        .any(|(name, v)| name == "l1d" && matches!(v, Json::Arr(_)))
+    {
+        return Err(EntryError::Positional);
     }
-    let key = match root.field("key")? {
-        Json::Str(s) => s.clone(),
-        _ => return None,
+    let decode = || -> Result<_, JsonError> {
+        let mut fields = Fields::of(&root)?;
+        let entry = (fields.take("key")?, fields.take("result")?);
+        fields.finish()?;
+        Ok(entry)
     };
-    let cores = root
-        .field("cores")?
-        .arr()?
-        .iter()
-        .map(parse_core)
-        .collect::<Option<Vec<_>>>()?;
-    let result = SimResult {
-        cores,
-        l1d: parse_cache(root.field("l1d")?)?,
-        llc: parse_cache(root.field("llc")?)?,
-        dram_transfers: root.field("dram_transfers")?.num()?,
-        total_cycles: root.field("total_cycles")?.num()?,
-        prefetcher_debug: root
-            .field("debug")?
-            .arr()?
-            .iter()
-            .map(|v| match v {
-                Json::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?,
-        prefetcher_metrics: root
-            .field("metrics")?
-            .arr()?
-            .iter()
-            .map(parse_metrics)
-            .collect::<Option<Vec<_>>>()?,
-        // Optional: pre-telemetry checkpoint lines simply have no field.
-        telemetry: match root.field("telemetry") {
-            Some(v) => Some(parse_telemetry(v)?),
-            None => None,
-        },
-        // Optional for the same reason: pre-ingest lines have no field.
-        ingest: match root.field("ingest") {
-            Some(v) => Some(parse_ingest(v)?),
-            None => None,
-        },
-        // Optional: only percore-throttled lines carry QoS accounting.
-        qos: match root.field("qos") {
-            Some(v) => Some(parse_qos(v)?),
-            None => None,
-        },
-    };
-    Some((key, result))
-}
-
-fn parse_ingest(v: &Json) -> Option<IngestReport> {
-    let a = v.arr()?;
-    // Exactly 4 today; extra counters would ride at the end, so accept
-    // longer arrays for forward compatibility but never shorter.
-    if a.len() < 4 {
-        return None;
-    }
-    Some(IngestReport {
-        delivered_records: a[0].num()?,
-        quarantined_records: a[1].num()?,
-        quarantined_bytes: a[2].num()?,
-        skipped_chunks: a[3].num()?,
-    })
-}
-
-fn parse_qos(v: &Json) -> Option<QosReport> {
-    let cores = v
-        .field("cores")?
-        .arr()?
-        .iter()
-        .map(|c| {
-            let a = c.arr()?;
-            // Exactly 9 today; extras would ride at the end.
-            if a.len() < 9 {
-                return None;
-            }
-            Some(CoreQos {
-                demand_accesses: a[0].num()?,
-                pf_issued: a[1].num()?,
-                pf_used: a[2].num()?,
-                prefetch_reads: a[3].num()?,
-                reads: a[4].num()?,
-                epochs: a[5].num()?,
-                degrades: a[6].num()?,
-                upgrades: a[7].num()?,
-                final_level: u8::try_from(a[8].num()?).ok()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let wd = v.field("watchdog")?.arr()?;
-    if wd.len() < 4 {
-        return None;
-    }
-    Some(QosReport {
-        cores,
-        watchdog_epochs: wd[0].num()?,
-        watchdog_starved_epochs: wd[1].num()?,
-        watchdog_clamps: wd[2].num()?,
-        watchdog_exempted: wd[3].num()?,
-    })
-}
-
-fn parse_telemetry(v: &Json) -> Option<TelemetryReport> {
-    let counts = v.field("counts")?.arr()?;
-    // 10 = pre-queue format (queue drops definitionally zero); 11 = current.
-    if counts.len() != 10 && counts.len() != 11 {
-        return None;
-    }
-    Some(TelemetryReport {
-        issued: counts[0].num()?,
-        dropped_duplicate: counts[1].num()?,
-        dropped_mshr: counts[2].num()?,
-        timely: counts[3].num()?,
-        late: counts[4].num()?,
-        unused: counts[5].num()?,
-        fills: counts[6].num()?,
-        fill_latency_sum: counts[7].num()?,
-        in_flight_at_end: counts[8].num()?,
-        orphans: counts[9].num()?,
-        dropped_queue: match counts.get(10) {
-            Some(n) => n.num()?,
-            None => 0,
-        },
-        by_source: v
-            .field("by_source")?
-            .arr()?
-            .iter()
-            .map(|pair| {
-                let a = pair.arr()?;
-                if a.len() != 2 {
-                    return None;
-                }
-                let label = match &a[0] {
-                    Json::Str(s) => s.clone(),
-                    _ => return None,
-                };
-                Some((label, parse_source_counters(&a[1])?))
-            })
-            .collect::<Option<Vec<_>>>()?,
-        hot_pcs: v
-            .field("hot_pcs")?
-            .arr()?
-            .iter()
-            .map(|pair| {
-                let a = pair.arr()?;
-                if a.len() != 2 {
-                    return None;
-                }
-                Some((a[0].num()?, parse_source_counters(&a[1])?))
-            })
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
-fn parse_source_counters(v: &Json) -> Option<SourceCounters> {
-    let a = v.arr()?;
-    if a.len() != 5 {
-        return None;
-    }
-    Some(SourceCounters {
-        issued: a[0].num()?,
-        timely: a[1].num()?,
-        late: a[2].num()?,
-        unused: a[3].num()?,
-        dropped: a[4].num()?,
-    })
-}
-
-fn parse_core(v: &Json) -> Option<CoreStats> {
-    let a = v.arr()?;
-    if a.len() != 6 {
-        return None;
-    }
-    Some(CoreStats {
-        instructions: a[0].num()?,
-        cycles: a[1].num()?,
-        loads: a[2].num()?,
-        stores: a[3].num()?,
-        dispatch_stall_cycles: a[4].num()?,
-        dependency_stall_cycles: a[5].num()?,
-    })
-}
-
-fn parse_cache(v: &Json) -> Option<CacheStats> {
-    let a = v.arr()?;
-    // 14 = pre-queue format (no bounded prefetch queue existed, so its
-    // drop count is definitionally zero); 15 = current format.
-    if a.len() != 14 && a.len() != 15 {
-        return None;
-    }
-    Some(CacheStats {
-        demand_accesses: a[0].num()?,
-        demand_hits: a[1].num()?,
-        demand_hits_pending: a[2].num()?,
-        demand_misses: a[3].num()?,
-        demand_mshr_stalls: a[4].num()?,
-        evictions: a[5].num()?,
-        writebacks: a[6].num()?,
-        pf_requested: a[7].num()?,
-        pf_dropped_duplicate: a[8].num()?,
-        pf_dropped_mshr: a[9].num()?,
-        pf_issued: a[10].num()?,
-        pf_useful: a[11].num()?,
-        pf_late: a[12].num()?,
-        pf_useless: a[13].num()?,
-        pf_dropped_queue: match a.get(14) {
-            Some(n) => n.num()?,
-            None => 0,
-        },
-    })
-}
-
-fn parse_metrics(v: &Json) -> Option<Vec<(&'static str, f64)>> {
-    v.arr()?
-        .iter()
-        .map(|pair| {
-            let a = pair.arr()?;
-            if a.len() != 2 {
-                return None;
-            }
-            let name = match &a[0] {
-                // Metric names are `&'static str` in SimResult; the small,
-                // bounded set of distinct names makes leaking them the
-                // pragmatic way to restore that lifetime from a file.
-                Json::Str(s) => &*Box::leak(s.clone().into_boxed_str()),
-                _ => return None,
-            };
-            Some((name, f64::from_bits(a[1].num()?)))
-        })
-        .collect()
+    decode().map_err(|_| EntryError::Malformed)
 }
 
 #[cfg(test)]
@@ -849,22 +332,27 @@ mod tests {
     #[test]
     fn round_trip_preserves_every_bit() {
         let r = sample_result(1);
-        let line = serialize_entry("42/1000/500/Em3d/Bingo", &r);
-        let (key, parsed) = parse_entry(&line).expect("own output parses");
+        let line = encode_entry("42/1000/500/Em3d/Bingo", &r);
+        let (key, parsed) = decode_entry(&line).expect("own output decodes");
         assert_eq!(key, "42/1000/500/Em3d/Bingo");
         assert_bit_equal(&r, &parsed);
+        // Metric names are interned: a second decode leaks nothing new.
+        let (_, again) = decode_entry(&line).expect("decodes again");
+        let name = |r: &SimResult| r.prefetcher_metrics[0][0].0;
+        assert!(std::ptr::eq(name(&parsed), name(&again)));
     }
 
     #[test]
     fn round_trip_preserves_telemetry() {
         let mut r = sample_result(2);
         r.telemetry = Some(sample_telemetry(7));
-        let line = serialize_entry("42/1000/500/Em3d/Bingo/telemetry=counts", &r);
-        let (_, parsed) = parse_entry(&line).expect("own output parses");
+        let line = encode_entry("42/1000/500/Em3d/Bingo/telemetry=counts", &r);
+        let (_, parsed) = decode_entry(&line).expect("own output decodes");
         assert_bit_equal(&r, &parsed);
-        // A pre-telemetry reader shape (no field) still parses to None.
-        let plain = serialize_entry("k", &sample_result(2));
-        let (_, parsed) = parse_entry(&plain).expect("parses");
+        // Without telemetry the section is absent and decodes to None.
+        let plain = encode_entry("k", &sample_result(2));
+        assert!(!plain.contains("\"telemetry\""));
+        let (_, parsed) = decode_entry(&plain).expect("decodes");
         assert!(parsed.telemetry.is_none());
     }
 
@@ -877,24 +365,20 @@ mod tests {
             quarantined_bytes: 612,
             skipped_chunks: 3,
         });
-        let line = serialize_entry("trace:/tmp/t/10/5/Bingo", &r);
-        let (key, parsed) = parse_entry(&line).expect("parses");
+        let line = encode_entry("trace:/tmp/t/10/5/Bingo", &r);
+        let (key, parsed) = decode_entry(&line).expect("decodes");
         assert_eq!(key, "trace:/tmp/t/10/5/Bingo");
         assert_eq!(parsed.ingest, r.ingest);
-        // Pre-ingest lines (no field) parse to None.
-        let plain = serialize_entry("k", &sample_result(2));
-        let (_, parsed) = parse_entry(&plain).expect("parses");
+        let plain = encode_entry("k", &sample_result(2));
+        let (_, parsed) = decode_entry(&plain).expect("decodes");
         assert!(parsed.ingest.is_none());
-        // Longer arrays (future counters ride at the end) still parse;
-        // shorter ones are rejected as corrupt.
-        let extended = line.replace(
-            "\"ingest\":[10000,37,612,3]",
-            "\"ingest\":[10000,37,612,3,8]",
-        );
-        assert_ne!(extended, line, "replacement must hit");
-        assert_eq!(parse_entry(&extended).expect("parses").1.ingest, r.ingest);
-        let torn = line.replace("\"ingest\":[10000,37,612,3]", "\"ingest\":[10000,37]");
-        assert!(parse_entry(&torn).is_none(), "2-element ingest is corrupt");
+        // A missing or an unknown counter rejects the line.
+        let torn = line.replace(",\"skipped_chunks\":3", "");
+        let grown = line.replace("\"skipped_chunks\":3", "\"skipped_chunks\":3,\"later\":8");
+        for bad in [torn, grown] {
+            assert_ne!(bad, line, "replacement must hit");
+            assert!(matches!(decode_entry(&bad), Err(EntryError::Malformed)));
+        }
     }
 
     #[test]
@@ -913,68 +397,55 @@ mod tests {
                     upgrades: 1,
                     final_level: 1,
                 },
-                CoreQos {
-                    demand_accesses: 4_800,
-                    pf_issued: 40,
-                    pf_used: 39,
-                    prefetch_reads: 38,
-                    reads: 620,
-                    epochs: 12,
-                    degrades: 0,
-                    upgrades: 0,
-                    final_level: 0,
-                },
+                CoreQos::default(),
             ],
             watchdog_epochs: 6,
             watchdog_starved_epochs: 2,
             watchdog_clamps: 1,
             watchdog_exempted: 0,
         });
-        let line = serialize_entry("42/1000/500/mix/throttle=percore", &r);
-        let (key, parsed) = parse_entry(&line).expect("own output parses");
+        let line = encode_entry("42/1000/500/mix/throttle=percore", &r);
+        let (key, parsed) = decode_entry(&line).expect("own output decodes");
         assert_eq!(key, "42/1000/500/mix/throttle=percore");
         assert_eq!(parsed.qos, r.qos);
-        // Pre-qos lines (no field) parse to None, and a qos-free result
-        // serializes without the field at all — off/static/feedback lines
-        // stay byte-identical to what older builds wrote.
-        let plain = serialize_entry("k", &sample_result(11));
+        // A qos-free result writes no section at all.
+        let plain = encode_entry("k", &sample_result(11));
         assert!(!plain.contains("\"qos\""));
-        let (_, parsed) = parse_entry(&plain).expect("parses");
-        assert!(parsed.qos.is_none());
-        // A torn per-core array is corrupt, not silently zero-filled.
-        let torn = line.replace("[5000,900,700,850,1400,12,2,1,1]", "[5000,900]");
-        assert_ne!(torn, line, "replacement must hit");
-        assert!(
-            parse_entry(&torn).is_none(),
-            "2-element core qos is corrupt"
-        );
+        assert!(decode_entry(&plain).expect("decodes").1.qos.is_none());
+        // A wrongly typed counter is corrupt, never coerced.
+        let bad = line.replace("\"final_level\":1", "\"final_level\":256");
+        assert_ne!(bad, line, "replacement must hit");
+        assert!(matches!(decode_entry(&bad), Err(EntryError::Malformed)));
     }
 
-    /// Checkpoint files written before the bounded prefetch queue existed
-    /// carry 14-element cache arrays and 10-element telemetry counts;
-    /// both must still parse, with the queue-drop counters reading zero
-    /// (no queue, no drops — the value is exact, not a guess).
+    /// Lines written in the positional-array encoding (any generation:
+    /// 14- or 15-counter caches, with or without telemetry) are rejected
+    /// by name, never decoded.
     #[test]
-    fn pre_queue_lines_still_parse_with_zero_queue_drops() {
+    fn positional_lines_are_rejected_by_name() {
         let line = concat!(
             "{\"key\":\"legacy\",\"cores\":[[1,2,3,4,5,6]],",
             "\"l1d\":[1,2,3,4,5,6,7,8,9,10,11,12,13,14],",
-            "\"llc\":[1,2,3,4,5,6,7,8,9,10,11,12,13,14],",
+            "\"llc\":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15],",
             "\"dram_transfers\":9,\"total_cycles\":10,",
             "\"debug\":[\"d\"],\"metrics\":[[]],",
             "\"telemetry\":{\"counts\":[1,2,3,4,5,6,7,8,9,10],",
             "\"by_source\":[],\"hot_pcs\":[]}}"
         );
-        let (key, r) = parse_entry(line).expect("legacy line parses");
-        assert_eq!(key, "legacy");
-        assert_eq!(r.llc.pf_dropped_queue, 0);
-        assert_eq!(r.llc.pf_useless, 14, "existing indices keep meaning");
-        let t = r.telemetry.expect("telemetry present");
-        assert_eq!(t.dropped_queue, 0);
-        assert_eq!(t.orphans, 10, "existing indices keep meaning");
-        // A wrong arity is still rejected outright.
-        let torn = line.replace(",13,14]", ",13]");
-        assert!(parse_entry(&torn).is_none(), "13-element cache is corrupt");
+        assert!(matches!(decode_entry(line), Err(EntryError::Positional)));
+        let path = tmp_path("positional");
+        std::fs::write(
+            &path,
+            format!("{line}\n{}\n", encode_entry("new", &sample_result(1))),
+        )
+        .expect("seed");
+        let cp = Checkpoint::open(&path).expect("open");
+        assert_eq!(
+            (cp.len(), cp.positional_lines(), cp.skipped_lines()),
+            (1, 1, 0)
+        );
+        assert!(cp.get("legacy").is_none());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1001,16 +472,21 @@ mod tests {
         cp.record("good", &sample_result(3)).expect("write");
         drop(cp);
         // Simulate a mid-write kill plus hand tampering: a torn half line,
-        // a valid-JSON-wrong-shape line, and plain garbage.
+        // a valid-JSON-wrong-shape line, a misspelled field, and plain
+        // garbage.
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
-        let torn = serialize_entry("torn", &sample_result(4));
+        let torn = encode_entry("torn", &sample_result(4));
         writeln!(f, "{}", &torn[..torn.len() / 2]).expect("torn write");
         writeln!(f, "{{\"key\":\"shapeless\"}}").expect("tamper write");
+        let misspelled =
+            encode_entry("misspelled", &sample_result(4)).replace("\"llc\"", "\"lcc\"");
+        writeln!(f, "{misspelled}").expect("tamper write");
         writeln!(f, "not json at all").expect("garbage write");
         drop(f);
         let cp = Checkpoint::open(&path).expect("reopen survives corruption");
         assert_eq!(cp.len(), 1, "only the intact entry is loaded");
-        assert_eq!(cp.skipped_lines(), 3);
+        assert_eq!(cp.skipped_lines(), 4);
+        assert_eq!(cp.positional_lines(), 0);
         assert!(cp.get("torn").is_none());
         assert_bit_equal(&cp.get("good").expect("good"), &sample_result(3));
         // The file still accepts new entries after corruption.

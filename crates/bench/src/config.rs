@@ -90,8 +90,9 @@ pub struct RunConfig {
     /// Records per chunk of newly captured traces (replay reads the chunk
     /// size from the file header).
     pub trace_chunk: u32,
-    /// Starvation-SLO override of `fig_qos`'s per-core throttle; `None`
-    /// keeps [`bingo_sim::DEFAULT_QOS_SLO`].
+    /// Starvation-SLO override of the per-core throttle, applied by
+    /// `fig_qos` and by every harness grid under `percore` (keys then end
+    /// in `/slo=<value>`); `None` keeps [`bingo_sim::DEFAULT_QOS_SLO`].
     pub qos_slo: Option<f64>,
     /// Whether `fig_qos` runs its chaos cell.
     pub chaos: bool,

@@ -28,6 +28,7 @@ pub mod area;
 pub mod checkpoint;
 pub mod config;
 pub mod differential;
+mod json;
 pub mod mix;
 pub mod perf_record;
 pub mod runner;
@@ -41,6 +42,7 @@ pub use differential::{
     bingo_config_variants, diff_bingo, diff_bingo_instances, diff_with_oracle, fuzz_baseline,
     fuzz_bingo, shrink_bingo_mismatch, FuzzFailure, FuzzReport, Mismatch,
 };
+pub use json::Json;
 pub use mix::{
     find_knee, CapacityCell, CapacitySearch, FairnessReport, MixAssignment, MixConfig, MixError,
     Pressure, Ramp, KNEE_FRACTION,

@@ -33,6 +33,7 @@ use std::path::Path;
 use bingo_sim::{SimResult, SystemConfig};
 use bingo_workloads::Workload;
 
+use crate::json::{Codec, Json};
 use crate::runner::PrefetcherKind;
 
 /// One level of memory-system resource pressure applied on top of a
@@ -813,41 +814,28 @@ impl CapacitySearch {
         }
     }
 
-    /// One JSON object describing the search — hand-rolled like every
-    /// other export in this repo, floats in plain decimal (this artifact
-    /// is for humans and CI plots, not bit-exact resume).
+    /// One JSON object describing the search, floats in plain decimal
+    /// (this artifact is for people and CI plots, not bit-exact resume).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"mix\":\"{}\",\"pressure\":\"{}\",\"knee\":{},\"steps\":[",
-            self.mix, self.pressure, self.knee
-        ));
-        for (i, step) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"cores\":{},\"aggregate_ipc\":{:.6},\"min_max_ipc_ratio\":{:.6},\"max_slowdown\":{:.6},\"core_ipcs\":[{}],\"slowdowns\":[{}]}}",
-                step.cores,
-                step.fairness.aggregate_ipc,
-                step.fairness.min_max_ipc_ratio,
-                step.fairness.max_slowdown(),
-                join_f64(&step.fairness.core_ipcs),
-                join_f64(&step.fairness.slowdowns),
-            ));
-        }
-        out.push_str("]}");
-        out
+        let steps = self.steps.iter().map(|step| {
+            let f = &step.fairness;
+            Json::obj([
+                ("cores", step.cores.encode()),
+                ("aggregate_ipc", Json::decimal(f.aggregate_ipc)),
+                ("min_max_ipc_ratio", Json::decimal(f.min_max_ipc_ratio)),
+                ("max_slowdown", Json::decimal(f.max_slowdown())),
+                ("core_ipcs", Json::decimals(&f.core_ipcs)),
+                ("slowdowns", Json::decimals(&f.slowdowns)),
+            ])
+        });
+        Json::obj([
+            ("mix", Json::str(&self.mix)),
+            ("pressure", Json::str(self.pressure)),
+            ("knee", self.knee.encode()),
+            ("steps", Json::Arr(steps.collect())),
+        ])
+        .to_string()
     }
-}
-
-/// Formats a float slice as comma-separated JSON numbers.
-fn join_f64(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| format!("{v:.6}"))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 #[cfg(test)]

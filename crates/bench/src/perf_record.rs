@@ -20,12 +20,19 @@
 //! The `unit` string doubles as the comparison direction: units ending in
 //! `/s` are throughputs (higher is better); everything else (`ms/run`,
 //! `ns/op`) is a cost (lower is better).
+//!
+//! Records go through the crate's one JSON codec (`json.rs`):
+//! `median`, `lo` and `hi` are plain decimals that parse back to the same
+//! bits, so a load-and-rewrite leaves a snapshot byte-identical, and a
+//! missing, unknown or wrongly typed field rejects the line.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+use crate::json::{Codec, Fields, Json, JsonError};
 
 /// Key of the host-speed calibration case every bench binary records.
 ///
@@ -103,154 +110,39 @@ impl BenchRecord {
 
     /// Serializes to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"key\":{},\"unit\":{},\"median\":{},\"lo\":{},\"hi\":{},\"samples\":{}}}",
-            json_string(&self.key),
-            json_string(&self.unit),
-            json_f64(self.median),
-            json_f64(self.lo),
-            json_f64(self.hi),
-            self.samples,
-        )
+        Json::obj([
+            ("key", Json::str(&self.key)),
+            ("unit", Json::str(&self.unit)),
+            ("median", Json::decimal(self.median)),
+            ("lo", Json::decimal(self.lo)),
+            ("hi", Json::decimal(self.hi)),
+            ("samples", self.samples.encode()),
+        ])
+        .to_string()
     }
 
     /// Parses one JSON line produced by [`BenchRecord::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Returns a description of the first malformed, missing or unknown
+    /// field.
     pub fn from_json(line: &str) -> Result<BenchRecord, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |name: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field {name:?} in {line:?}"))
+        let decode = || {
+            let root = Json::parse(line)?;
+            let mut fields = Fields::of(&root)?;
+            let record = BenchRecord {
+                key: fields.take("key")?,
+                unit: fields.take("unit")?,
+                median: fields.decimal("median")?,
+                lo: fields.decimal("lo")?,
+                hi: fields.decimal("hi")?,
+                samples: fields.take("samples")?,
+            };
+            fields.finish()?;
+            Ok(record)
         };
-        let num = |name: &str| -> Result<f64, String> {
-            let raw = get(name)?;
-            raw.parse::<f64>()
-                .map_err(|e| format!("field {name:?}: {e} in {line:?}"))
-        };
-        let samples = get("samples")?;
-        Ok(BenchRecord {
-            key: unquote(get("key")?)?,
-            unit: unquote(get("unit")?)?,
-            median: num("median")?,
-            lo: num("lo")?,
-            hi: num("hi")?,
-            samples: samples.parse().map_err(|e| {
-                format!("field \"samples\": {e} (want a whole number in u32 range) in {line:?}")
-            })?,
-        })
-    }
-}
-
-/// Formats a float so that `f64::parse` round-trips it.
-fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Minimal JSON string escaping: quote, backslash and control characters;
-/// [`unquote`] reads back exactly these escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Decodes a JSON string token written by [`json_string`].
-fn unquote(raw: &str) -> Result<String, String> {
-    let inner = raw
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a JSON string, got {raw:?}"))?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let c = Some(&hex)
-                        .filter(|h| h.len() == 4 && h.bytes().all(|b| b.is_ascii_hexdigit()))
-                        .and_then(|h| u32::from_str_radix(h, 16).ok())
-                        .and_then(char::from_u32)
-                        .ok_or_else(|| format!("bad escape \\u{hex} in {raw:?}"))?;
-                    out.push(c);
-                }
-                other => return Err(format!("unsupported escape {other:?} in {raw:?}")),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Ok(out)
-}
-
-/// Splits a flat one-line JSON object into raw `(key, value)` pairs.
-/// Handles only what [`BenchRecord::to_json`] emits: string and number
-/// values, no nesting.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line:?}"))?;
-    let mut fields = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let (key_raw, after_key) = take_token(rest)?;
-        let after_colon = after_key
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after {key_raw:?} in {line:?}"))?;
-        let (value, after_value) = take_token(after_colon)?;
-        fields.push((unquote(&key_raw)?, value));
-        rest = after_value.strip_prefix(',').unwrap_or(after_value);
-        if after_value == rest && !rest.is_empty() && !after_value.starts_with(',') {
-            return Err(format!("expected ',' between fields in {line:?}"));
-        }
-    }
-    Ok(fields)
-}
-
-/// Takes one string or number token off the front of `rest`.
-fn take_token(rest: &str) -> Result<(String, &str), String> {
-    let rest = rest.trim_start();
-    if let Some(inner) = rest.strip_prefix('"') {
-        let mut escaped = false;
-        for (i, c) in inner.char_indices() {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                return Ok((rest[..i + 2].to_string(), &inner[i + 1..]));
-            }
-        }
-        Err(format!("unterminated string in {rest:?}"))
-    } else {
-        let end = rest.find([':', ',', '}']).unwrap_or(rest.len());
-        if end == 0 {
-            return Err(format!("empty token at {rest:?}"));
-        }
-        Ok((rest[..end].trim().to_string(), &rest[end..]))
+        decode().map_err(|e: JsonError| format!("{e} in {line:?}"))
     }
 }
 
@@ -500,7 +392,7 @@ mod tests {
         let parsed = BenchRecord::from_json(&r.to_json()).expect("parse back");
         assert_eq!(parsed, r);
         assert!(parsed.higher_is_better());
-        // Control characters are escaped as `\u00XX` and read back.
+        // Control characters are escaped and read back.
         let tabbed = rec("a\tb\u{1}c", 1.0);
         assert_eq!(BenchRecord::from_json(&tabbed.to_json()), Ok(tabbed));
         assert!(!rec("x", 1.0).higher_is_better());

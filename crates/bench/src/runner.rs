@@ -465,15 +465,15 @@ impl CellSpec {
     /// * solo: `mix-solo:{seed}/{instr}/{warmup}/{slot spec}` — not
     ///   namespaced by mix name, so mixes sharing a slot share its solo.
     ///
-    /// Then `/pressure=…`, `/telemetry=…` and `/throttle=…` follow, each
-    /// only when not at its default, so default-mode keys stay
-    /// byte-for-byte those of checkpoints written before the option
+    /// Then `/pressure=…`, `/telemetry=…`, `/throttle=…` and `/slo=…`
+    /// follow, each only when not at its default, so default-mode keys
+    /// stay byte-for-byte those of checkpoints written before the option
     /// existed.
     ///
-    /// `None` for a spec carrying a chaos plan or an SLO override: such
-    /// runs are never checkpointed, cached or exported under a key.
+    /// `None` for a spec carrying a chaos plan: such runs are never
+    /// checkpointed, cached or exported under a key.
     pub fn key(&self) -> Option<String> {
-        if self.chaos.is_some() || self.qos_slo.is_some() {
+        if self.chaos.is_some() {
             return None;
         }
         let RunScale {
@@ -502,8 +502,11 @@ impl CellSpec {
             ThrottleMode::Off => String::new(),
             mode => format!("/throttle={mode}"),
         };
+        let slo = self
+            .qos_slo
+            .map_or(String::new(), |slo| format!("/slo={slo}"));
         Some(format!(
-            "{base}{}{telemetry}{throttle}",
+            "{base}{}{telemetry}{throttle}{slo}",
             self.pressure.key_suffix()
         ))
     }
@@ -677,12 +680,14 @@ impl ParallelHarness {
         let checkpoint = config.checkpoint.as_ref().map(|path| {
             let checkpoint = Checkpoint::open(path)
                 .unwrap_or_else(|e| panic!("BINGO_CHECKPOINT: cannot open {path:?}: {e}"));
-            if checkpoint.skipped_lines() > 0 {
+            if checkpoint.skipped_lines() + checkpoint.positional_lines() > 0 {
                 eprintln!(
-                    "[checkpoint] {}: loaded {} cell(s), skipped {} corrupt line(s)",
+                    "[checkpoint] {}: loaded {} cell(s), skipped {} corrupt line(s) and {} \
+                     positional line(s) of an older format (their cells re-run)",
                     path.display(),
                     checkpoint.len(),
-                    checkpoint.skipped_lines()
+                    checkpoint.skipped_lines(),
+                    checkpoint.positional_lines()
                 );
             }
             checkpoint
@@ -696,11 +701,14 @@ impl ParallelHarness {
     }
 
     /// A spec for `cores` at this harness's scale, telemetry level,
-    /// throttle mode and cell deadline.
+    /// throttle mode, cell deadline and, under the percore throttle, QoS
+    /// SLO.
     fn spec(&self, cores: Cores) -> CellSpec {
+        let percore = self.config.throttle == ThrottleMode::Percore;
         CellSpec {
             telemetry: self.config.telemetry,
             throttle: self.config.throttle,
+            qos_slo: self.config.qos_slo.filter(|_| percore),
             deadline: self.config.cell_timeout,
             ..CellSpec::new(cores, self.config.scale)
         }
@@ -778,7 +786,7 @@ impl ParallelHarness {
     /// and is reported as a failure tied to that reference.
     ///
     /// References are identified by their keys, so a grid cell never
-    /// carries a chaos plan or an SLO override (see [`CellSpec::key`]).
+    /// carries a chaos plan (see [`CellSpec::key`]).
     fn evaluate_cells<E>(
         &mut self,
         cells: &[CellSpec],
@@ -1550,16 +1558,21 @@ mod tests {
         ] {
             assert_ne!(spec(bingo.clone()).key(), other.key());
         }
-        // Chaos and SLO-override runs have no key form at all.
-        let chaotic = CellSpec {
-            chaos: Some(ChaosPlan::standard(1)),
+        // An SLO override is one more suffix; chaos runs have no key.
+        let slo = CellSpec {
+            throttle: ThrottleMode::Percore,
+            qos_slo: Some(0.5),
             ..spec(bingo.clone())
         };
-        let slo = CellSpec {
-            qos_slo: Some(0.5),
+        assert_eq!(
+            slo.key().unwrap(),
+            "7/15000/5000/Em3d/Bingo/throttle=percore/slo=0.5"
+        );
+        let chaotic = CellSpec {
+            chaos: Some(ChaosPlan::standard(1)),
             ..spec(bingo)
         };
-        assert_eq!((chaotic.key(), slo.key()), (None, None));
+        assert_eq!(chaotic.key(), None);
     }
 
     /// A captured trace swept through the parallel harness reproduces the
@@ -1825,6 +1838,43 @@ mod tests {
         assert_eq!(a[0].result, b[0].result);
         assert!(b[0].result.telemetry.is_some(), "report survives the file");
         assert_eq!(a[0].result.telemetry, b[0].result.telemetry);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A percore harness applies the configured QoS SLO and keys its
+    /// cells by it, so a resume replays them instead of re-simulating.
+    #[test]
+    fn percore_harness_keys_and_resumes_its_qos_slo() {
+        let dir = std::env::temp_dir().join("bingo-runner-tests");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("qos-slo-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cells = [(Workload::Streaming, PrefetcherKind::NextLine(1))];
+        let run = |cell_timeout| {
+            let mut h = ParallelHarness::new(&RunConfig {
+                throttle: ThrottleMode::Percore,
+                qos_slo: Some(0.5),
+                checkpoint: Some(path.clone()),
+                cell_timeout,
+                ..quiet(tiny_scale(23), 2)
+            });
+            h.try_evaluate_grid(&cells)
+        };
+        let fresh = run(None);
+        assert!(fresh.is_clean(), "{}", fresh.failure_report());
+        let text = std::fs::read_to_string(&path).expect("read checkpoint");
+        assert_eq!(text.lines().count(), 2, "the cell and its baseline");
+        for line in text.lines() {
+            assert!(line.contains("/throttle=percore/slo=0.5\""), "{line}");
+        }
+        // A zero deadline fails any cell that simulates.
+        let resumed = run(Some(Duration::ZERO));
+        assert!(resumed.is_clean(), "{}", resumed.failure_report());
+        assert_eq!(resumed.checkpoint_hits, 2);
+        assert_eq!(
+            fresh.into_complete()[0].result,
+            resumed.into_complete()[0].result
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -3,10 +3,10 @@
 //! Point `BINGO_STATS` at a file (or a directory — the file is then named
 //! after the running binary) and every bench binary writes each completed
 //! cell's full [`SimResult`] — telemetry report included, when enabled —
-//! as one self-contained JSON line, in the same format the crash-safe
-//! checkpoint uses (floats as IEEE-754 bit patterns, see
-//! [`crate::checkpoint`]). CI uploads the file as an artifact; offline
-//! analysis parses it with any JSON reader.
+//! as one self-contained JSON line, `{"key":…,"result":{…}}`, in the
+//! field-named format the crash-safe checkpoint uses (metric floats as
+//! IEEE-754 bit patterns, see [`crate::checkpoint`]). CI uploads the file
+//! as an artifact; offline analysis parses it with any JSON reader.
 //!
 //! Unlike the checkpoint (an append-only resume log), the export is a
 //! *report*: it is truncated on creation, written in deterministic order
@@ -21,7 +21,7 @@ use std::sync::{Mutex, PoisonError};
 
 use bingo_sim::SimResult;
 
-use crate::checkpoint::serialize_entry;
+use crate::checkpoint::encode_entry;
 
 /// A deduplicating JSONL writer of completed cell results.
 #[derive(Debug)]
@@ -73,7 +73,7 @@ impl StatsExport {
         if !lock(&self.written).insert(key.to_string()) {
             return Ok(());
         }
-        let line = serialize_entry(key, result);
+        let line = encode_entry(key, result);
         let mut writer = lock(&self.writer);
         writer.write_all(line.as_bytes())?;
         writer.write_all(b"\n")?;

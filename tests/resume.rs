@@ -2,15 +2,24 @@
 //! resumed from its `BINGO_CHECKPOINT` file produces bit-for-bit the same
 //! [`bingo_bench::Evaluation`]s as an uninterrupted sweep — including
 //! after the file picks up a torn final line from the simulated kill.
+//!
+//! The last tests lock the JSON codec itself: every optional section and
+//! a NaN metric survive the checkpoint bit for bit, a misspelled field
+//! rejects its line, and the committed bench snapshot re-encodes byte for
+//! byte.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use bingo_bench::{
-    CellSpec, Checkpoint, Cores, Evaluation, ParallelHarness, PrefetcherKind, RunConfig, RunScale,
+    BenchRecord, BenchWriter, CellSpec, Checkpoint, Cores, Evaluation, ParallelHarness,
+    PrefetcherKind, RunConfig, RunScale,
 };
-use bingo_sim::ThrottleMode;
+use bingo_sim::{
+    CacheStats, CoreQos, CoreStats, IngestReport, QosReport, SimResult, SourceCounters,
+    TelemetryReport, ThrottleMode,
+};
 use bingo_workloads::Workload;
 
 fn scale() -> RunScale {
@@ -302,5 +311,147 @@ fn failed_cells_are_not_checkpointed_and_retry_on_resume() {
         .is_none(),
         "a panicked cell must be retried on resume, not replayed"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A result with every optional section and a NaN metric.
+fn full_result() -> SimResult {
+    let counters = |n: u64| SourceCounters {
+        issued: n,
+        timely: n / 2,
+        late: n / 4,
+        unused: n / 8,
+        dropped: 3,
+    };
+    SimResult {
+        cores: vec![CoreStats {
+            instructions: u64::MAX,
+            cycles: 250,
+            loads: 30,
+            stores: 10,
+            dispatch_stall_cycles: 5,
+            dependency_stall_cycles: 7,
+        }],
+        l1d: CacheStats {
+            demand_accesses: 40,
+            pf_dropped_queue: 2,
+            ..CacheStats::default()
+        },
+        llc: CacheStats {
+            demand_misses: 4,
+            pf_useless: 1,
+            ..CacheStats::default()
+        },
+        dram_transfers: 9,
+        total_cycles: 260,
+        prefetcher_debug: vec!["quote \" backslash \\ tab \t é".to_string()],
+        prefetcher_metrics: vec![vec![
+            ("coverage", 0.1),
+            ("nan_metric", f64::from_bits(0x7ff8_0000_dead_beef)),
+            ("negative_zero", -0.0),
+        ]],
+        telemetry: Some(TelemetryReport {
+            issued: 100,
+            dropped_queue: 1,
+            fill_latency_sum: 40_000,
+            by_source: vec![("long".to_string(), counters(64))],
+            hot_pcs: vec![(0x400, counters(48)), (u64::MAX, counters(16))],
+            ..TelemetryReport::default()
+        }),
+        ingest: Some(IngestReport {
+            delivered_records: 10_000,
+            quarantined_records: 37,
+            quarantined_bytes: 612,
+            skipped_chunks: 3,
+        }),
+        qos: Some(QosReport {
+            cores: vec![CoreQos {
+                demand_accesses: 5_000,
+                final_level: 3,
+                ..CoreQos::default()
+            }],
+            watchdog_epochs: 6,
+            watchdog_starved_epochs: 2,
+            watchdog_clamps: 1,
+            watchdog_exempted: 0,
+        }),
+    }
+}
+
+#[test]
+fn checkpoint_round_trips_every_section_bit_for_bit() {
+    let path = tmp_path("codec");
+    let written = full_result();
+    Checkpoint::open(&path)
+        .expect("create")
+        .record("k", &written)
+        .expect("record");
+    let cp = Checkpoint::open(&path).expect("reopen");
+    assert_eq!((cp.len(), cp.skipped_lines()), (1, 0));
+    let read = cp.get("k").expect("the entry loads");
+    // `SimResult`'s PartialEq fails on NaN: compare metrics by bits, then
+    // everything else with the metrics taken out.
+    let bits = |r: &SimResult| -> Vec<Vec<(&str, u64)>> {
+        let per_core =
+            |m: &Vec<(&'static str, f64)>| m.iter().map(|&(n, v)| (n, v.to_bits())).collect();
+        r.prefetcher_metrics.iter().map(per_core).collect()
+    };
+    assert_eq!(bits(&read), bits(&written));
+    let strip = |r: &SimResult| SimResult {
+        prefetcher_metrics: Vec::new(),
+        ..r.clone()
+    };
+    assert_eq!(strip(&read), strip(&written));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn misspelled_field_rejects_its_line_and_is_counted() {
+    let path = tmp_path("misspelled");
+    Checkpoint::open(&path)
+        .expect("create")
+        .record("good", &full_result())
+        .expect("record");
+    let good = std::fs::read_to_string(&path).expect("read");
+    // A misspelled counter, and a misspelled optional section, which
+    // would otherwise read back as an absent `None`.
+    let misspell = |key: &str, from: &str, to: &str| {
+        let bad = good.replace("\"good\"", key).replace(from, to);
+        assert_ne!(bad.replace(key, "\"good\""), good, "replacement must hit");
+        bad
+    };
+    let counter = misspell(
+        "\"counter\"",
+        "\"quarantined_bytes\"",
+        "\"quarantined_byte\"",
+    );
+    let section = misspell("\"section\"", "\"ingest\"", "\"ingset\"");
+    std::fs::write(&path, good + &counter + &section).expect("append the misspelled copies");
+    let cp = Checkpoint::open(&path).expect("reopen");
+    assert_eq!(
+        (cp.len(), cp.skipped_lines(), cp.positional_lines()),
+        (1, 2, 0)
+    );
+    assert!(cp.get("counter").is_none() && cp.get("section").is_none());
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn bench_snapshot_re_encodes_byte_identical() {
+    let snapshot = std::fs::read_to_string("BENCH_simulator.json").expect("read the snapshot");
+    assert!(snapshot.lines().count() > 0);
+    for line in snapshot.lines() {
+        let record = BenchRecord::from_json(line).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(record.to_json(), line);
+    }
+    // A writer's load-and-rewrite leaves the file byte-identical.
+    let path = tmp_path("snapshot").with_extension("json");
+    std::fs::write(&path, &snapshot).expect("copy the snapshot");
+    let first = BenchRecord::from_json(snapshot.lines().next().unwrap()).unwrap();
+    BenchWriter::open(&path)
+        .expect("load")
+        .record(first)
+        .expect("rewrite");
+    assert_eq!(std::fs::read_to_string(&path).expect("reread"), snapshot);
     let _ = std::fs::remove_file(&path);
 }

@@ -1,12 +1,12 @@
-//! Cross-version resume lock: a checkpoint file written by an earlier
-//! version of the runner must still resume under the current one.
+//! Cross-version resume lock: the checkpoint file of a fixed sweep must
+//! keep resuming under the current runner, and the file of an older,
+//! positional encoding must be rejected by name, never misread.
 //!
-//! `tests/corpus/checkpoints/runner_v13.jsonl` is the checkpoint of the
-//! tiny-scale sweep below, committed once and never regenerated. It
-//! covers every key form a checkpointed sweep writes: classic cells,
-//! a `telemetry=counts` cell, a `throttle=percore` cell, and a 2-core
-//! mix under scarce pressure with its per-slot solo runs. Two checks
-//! hold the runner to it:
+//! `tests/corpus/checkpoints/runner_v19.jsonl` is the field-named
+//! checkpoint of the tiny-scale sweep below. It covers every key form a
+//! checkpointed sweep writes: classic cells, a `telemetry=counts` cell, a
+//! `throttle=percore` cell, and a 2-core mix under scarce pressure with
+//! its per-slot solo runs. Two checks hold the runner to it:
 //!
 //! 1. resuming from a copy of the file simulates nothing — every cell
 //!    and every reference run is a checkpoint hit (a zero per-cell
@@ -14,17 +14,23 @@
 //! 2. re-simulating the sweep without the file writes a checkpoint
 //!    holding exactly the fixture's lines — same keys, same results,
 //!    bit for bit.
+//!
+//! `tests/corpus/checkpoints/runner_v13.jsonl` is the same sweep in the
+//! positional encoding, committed once and never regenerated. Its keys
+//! are the field-named fixture's keys; every line of it is rejected as
+//! positional, so a sweep against it re-simulates every run.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use bingo_bench::{
-    MixCell, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunConfig, RunScale,
+    Checkpoint, MixCell, MixConfig, ParallelHarness, PrefetcherKind, Pressure, RunConfig, RunScale,
 };
 use bingo_sim::{TelemetryLevel, ThrottleMode};
 use bingo_workloads::Workload;
 
-const FIXTURE: &str = "tests/corpus/checkpoints/runner_v13.jsonl";
+const FIXTURE: &str = "tests/corpus/checkpoints/runner_v19.jsonl";
+const POSITIONAL_FIXTURE: &str = "tests/corpus/checkpoints/runner_v13.jsonl";
 
 const SCALE: RunScale = RunScale {
     instructions_per_core: 15_000,
@@ -63,9 +69,10 @@ fn mix_cells() -> Vec<MixCell> {
     }]
 }
 
-/// Runs the whole fixture sweep against `checkpoint`. With `deadline`
-/// set, every simulation must finish within it.
-fn sweep(checkpoint: &Path, deadline: Option<Duration>) {
+/// Runs the whole fixture sweep against `checkpoint` and returns its
+/// checkpoint hits. With `deadline` set, every simulation must finish
+/// within it.
+fn sweep(checkpoint: &Path, deadline: Option<Duration>) -> usize {
     let config = RunConfig {
         checkpoint: Some(checkpoint.to_path_buf()),
         cell_timeout: deadline,
@@ -90,6 +97,7 @@ fn sweep(checkpoint: &Path, deadline: Option<Duration>) {
     assert!(percore.is_clean(), "{}", percore.failure_report());
     let mix = harness(config).try_evaluate_mix_grid(&mix_cells());
     assert!(mix.is_clean(), "{}", mix.failure_report());
+    classic.checkpoint_hits + counts.checkpoint_hits + percore.checkpoint_hits + mix.checkpoint_hits
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -106,6 +114,21 @@ fn sorted_lines(text: &str) -> Vec<&str> {
     lines
 }
 
+/// The key of every line: both encodings open with `{"key":"<key>",`.
+fn sorted_keys(text: &str) -> Vec<&str> {
+    let mut keys: Vec<&str> = sorted_lines(text)
+        .into_iter()
+        .map(|line| {
+            let rest = line
+                .strip_prefix("{\"key\":\"")
+                .expect("a line opens with its key");
+            &rest[..rest.find('"').expect("a quoted key")]
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
 #[test]
 fn committed_checkpoint_resumes_and_matches_a_fresh_sweep() {
     let fixture = std::fs::read_to_string(FIXTURE).expect("read the committed fixture");
@@ -120,13 +143,13 @@ fn committed_checkpoint_resumes_and_matches_a_fresh_sweep() {
     // and fail its grid.
     let resumed = scratch("resumed");
     std::fs::write(&resumed, &fixture).expect("copy the fixture");
-    sweep(&resumed, Some(Duration::ZERO));
+    assert_eq!(sweep(&resumed, Some(Duration::ZERO)), 13);
     let after = std::fs::read_to_string(&resumed).expect("reread");
     assert_eq!(after, fixture, "a full resume appends nothing");
 
     // 2. Fresh: the same sweep without the fixture writes the same lines.
     let fresh = scratch("fresh");
-    sweep(&fresh, None);
+    assert_eq!(sweep(&fresh, None), 0);
     let written = std::fs::read_to_string(&fresh).expect("read the fresh checkpoint");
     assert_eq!(
         sorted_lines(&written),
@@ -135,4 +158,33 @@ fn committed_checkpoint_resumes_and_matches_a_fresh_sweep() {
     );
     let _ = std::fs::remove_file(&resumed);
     let _ = std::fs::remove_file(&fresh);
+}
+
+#[test]
+fn positional_checkpoint_is_rejected_and_fully_re_simulated() {
+    let positional = std::fs::read_to_string(POSITIONAL_FIXTURE).expect("read the v13 fixture");
+    let fixture = std::fs::read_to_string(FIXTURE).expect("read the v19 fixture");
+    assert_eq!(
+        sorted_keys(&positional),
+        sorted_keys(&fixture),
+        "the keys are unchanged"
+    );
+
+    let copy = scratch("positional");
+    std::fs::write(&copy, &positional).expect("copy the v13 fixture");
+    let cp = Checkpoint::open(&copy).expect("open the v13 copy");
+    assert_eq!(
+        (cp.len(), cp.positional_lines(), cp.skipped_lines()),
+        (0, 13, 0)
+    );
+    drop(cp);
+
+    // Every run re-simulates, and appends exactly the field-named lines.
+    assert_eq!(sweep(&copy, None), 0, "no positional line is replayed");
+    let after = std::fs::read_to_string(&copy).expect("reread");
+    let appended = after
+        .strip_prefix(positional.as_str())
+        .expect("the old lines stay");
+    assert_eq!(sorted_lines(appended), sorted_lines(&fixture));
+    let _ = std::fs::remove_file(&copy);
 }
